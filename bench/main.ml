@@ -37,7 +37,7 @@ type run_result = { matches : int; candidates : int; seconds : float }
    runners (auto | myers | banded); the paper exhibits stay on auto. *)
 let verifier_ref = ref Faerie_sim.Verify.Auto
 
-let run_single ?pruning problem docs =
+let run_single ?merger ?pruning problem docs =
   let matches = ref 0 and candidates = ref 0 in
   let seconds =
     H.timed (fun () ->
@@ -45,7 +45,8 @@ let run_single ?pruning problem docs =
           (fun text ->
             let doc = Problem.tokenize_document problem text in
             let ms, (st : Types.stats) =
-              Single_heap.run ?pruning ~verifier:!verifier_ref problem doc
+              Single_heap.run ?merger ?pruning ~verifier:!verifier_ref problem
+                doc
             in
             let fb = Fallback.run ~verifier:!verifier_ref problem doc in
             matches := !matches + List.length ms + List.length fb;
@@ -122,7 +123,11 @@ let fig13_panel ~name ~csv ~x_label ~settings ~docs ~mk_problem =
       (fun (label, setting) ->
         let problem = mk_problem setting in
         let multi = run_multi problem docs in
-        let single = run_single ~pruning:Types.No_prune problem docs in
+        (* The paper's Section 3.3 single heap, not the ScanCount default. *)
+        let single =
+          run_single ~merger:Faerie_heaps.Multiway.Binary_heap
+            ~pruning:Types.No_prune problem docs
+        in
         [ label; H.fmt_time multi.seconds; H.fmt_time single.seconds;
           string_of_int single.matches ])
       settings
@@ -415,22 +420,30 @@ let ablations () =
   let sim = Sim.Edit_distance 2 in
   let problem = Problem.create ~sim ~q (W.indexed_subset ~sim ~q (W.entities dblp)) in
 
-  H.subsection "merge engine: binary int-heap vs loser (tournament) tree";
-  let run_with merger =
-    H.timed (fun () ->
-        Array.iter
-          (fun text ->
-            let doc = Problem.tokenize_document problem text in
-            ignore (Single_heap.run ~merger problem doc))
-          docs)
+  H.subsection "merge engine: binary int-heap vs loser (tournament) tree vs ScanCount";
+  let engine_row label problem docs =
+    let run_with merger =
+      H.timed (fun () ->
+          Array.iter
+            (fun text ->
+              let doc = Problem.tokenize_document problem text in
+              ignore (Single_heap.run ~merger problem doc))
+            docs)
+    in
+    label
+    :: List.map
+         (fun m -> H.fmt_time (run_with m))
+         Faerie_heaps.Multiway.[ Binary_heap; Tournament_tree; Scan_count ]
   in
+  let webpage = Lazy.force W.webpage in
   H.table ~csv:"ablation_merge_engine" ~x_label:"workload"
-    ~columns:[ "Int_heap"; "Loser_tree" ]
+    ~columns:[ "Int_heap"; "Loser_tree"; "ScanCount" ]
     ~rows:
       [
-        [ "ed dblp tau=2";
-          H.fmt_time (run_with Faerie_heaps.Multiway.Binary_heap);
-          H.fmt_time (run_with Faerie_heaps.Multiway.Tournament_tree) ];
+        engine_row "ed dblp tau=2" problem docs;
+        engine_row "jac webpage delta=0.9"
+          (Problem.create ~sim:(Sim.Jaccard 0.9) (W.entities webpage))
+          (W.doc_texts webpage 3);
       ]
     ();
 

@@ -1239,10 +1239,10 @@ let serve_cmd =
           | Some a -> prerr_endline ("faerie: serve: " ^ Slo.render a)
           | None -> ());
       let done_lock = Mutex.create () in
-      let outcomes = ref [] in
+      let tally = Outcome.tally () in
       let record out =
         Mutex.lock done_lock;
-        outcomes := out :: !outcomes;
+        Outcome.tally_add tally out;
         Mutex.unlock done_lock
       in
       let ord = ref 0 in
@@ -1362,7 +1362,7 @@ let serve_cmd =
       Prof.note_rss ();
       let final = Metrics.snapshot () in
       assess_slo final;
-      let summary = Outcome.summarize (Array.of_list !outcomes) in
+      let summary = Outcome.tally_summary tally in
       prerr_endline
         (Serve_proto.summary_json ~metrics:final ?slo:(slo_json ())
            ~reloads:!reloads summary);
@@ -1534,7 +1534,7 @@ let serve_cmd =
               Serve_proto.compact_response_json ~gen:g ~folded
                 ~entities:(Cluster.live_count cluster)
       in
-      let outcomes = ref [] in
+      let tally = Outcome.tally () in
       let ord = ref 0 in
       let continue = ref true in
       while !continue do
@@ -1620,7 +1620,7 @@ let serve_cmd =
                            (slowrec ~doc_id:o ~id ~trace:tid
                               ~gen:(Cluster.generation cluster) ~wall_ns
                               ~stages_ns:!stages_ref ~budget ~text out));
-                      outcomes := out :: !outcomes;
+                      Outcome.tally_add tally out;
                       print_line
                         (Serve_proto.response_json ~ord:o ~id
                            ~gen:(Cluster.generation cluster) out))
@@ -1634,7 +1634,7 @@ let serve_cmd =
       Slowlog.disarm ();
       assess_slo final_metrics;
       let tot = Cluster.totals cluster in
-      let summary = Outcome.summarize (Array.of_list (List.rev !outcomes)) in
+      let summary = Outcome.tally_summary tally in
       prerr_endline
         (Serve_proto.cluster_summary_json ~metrics:final_metrics
            ?slo:(slo_json ()) ~reloads:!reloads ~shards

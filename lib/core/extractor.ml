@@ -142,7 +142,7 @@ let default_opts =
     pruning = Binary_window;
     budget = Budget.spec_unlimited;
     oversize = `Chunk;
-    merger = Heaps.Multiway.Binary_heap;
+    merger = Heaps.Multiway.Scan_count;
     verifier = S.Verify.Auto;
     metrics = true;
     explain = None;

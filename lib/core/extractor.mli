@@ -81,7 +81,9 @@ type opts = {
           (default) degrades to bounded-memory {!Chunked} extraction with
           complete results; [`Reject] fails with [Doc_too_large] *)
   merger : Faerie_heaps.Multiway.merger;
-      (** multiway merge engine, default [Binary_heap] *)
+      (** multiway merge engine, default [Scan_count]; [Binary_heap] is the
+          paper's single heap and [Tournament_tree] its loser tree, both
+          producing the same stream *)
   verifier : Faerie_sim.Verify.verifier;
       (** edit-distance engine for character-based verification: [Auto]
           (default) and [Myers] use the bit-parallel verifier with the
@@ -104,7 +106,7 @@ type opts = {
 }
 
 val default_opts : opts
-(** [Binary_window], unlimited budget, [`Chunk], binary heap, [Auto]
+(** [Binary_window], unlimited budget, [`Chunk], [Scan_count], [Auto]
     verifier, metrics on, explain off, [doc_id = 0]. Override fields with
     [{ default_opts with ... }]. *)
 

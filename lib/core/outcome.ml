@@ -98,36 +98,50 @@ type summary = {
   elapsed_ns : int64;
 }
 
-let summarize ?(elapsed_ns = 0L) outcomes =
-  let n_ok = ref 0
-  and n_degraded = ref 0
-  and n_failed = ref 0
-  and n_shed = ref 0
-  and n_quarantined = ref 0 in
+type tally = {
+  mutable t_docs : int;
+  mutable t_ok : int;
+  mutable t_degraded : int;
+  mutable t_failed : int;
+  mutable t_shed : int;
+  mutable t_quarantined : int;
+}
+
+let tally () =
+  { t_docs = 0; t_ok = 0; t_degraded = 0; t_failed = 0; t_shed = 0; t_quarantined = 0 }
+
+let tally_add t o =
+  t.t_docs <- t.t_docs + 1;
+  match classify o with
+  | `Ok -> t.t_ok <- t.t_ok + 1
+  | `Degraded -> t.t_degraded <- t.t_degraded + 1
+  | `Failed -> t.t_failed <- t.t_failed + 1
+  | `Shed -> t.t_shed <- t.t_shed + 1
+  | `Quarantined -> t.t_quarantined <- t.t_quarantined + 1
+
+let tally_summary ?(elapsed_ns = 0L) t =
+  {
+    n_docs = t.t_docs;
+    n_ok = t.t_ok;
+    n_degraded = t.t_degraded;
+    n_failed = t.t_failed;
+    n_shed = t.t_shed;
+    n_quarantined = t.t_quarantined;
+    failures = [];
+    elapsed_ns;
+  }
+
+let summarize ?elapsed_ns outcomes =
+  let t = tally () in
   let failures = ref [] in
   Array.iteri
     (fun i o ->
-      match classify o with
-      | `Ok -> incr n_ok
-      | `Degraded -> incr n_degraded
-      | `Shed -> incr n_shed
-      | `Quarantined -> incr n_quarantined
-      | `Failed -> (
-          incr n_failed;
-          match o with
-          | Failed err -> failures := (i, err) :: !failures
-          | Ok _ | Degraded _ -> assert false))
+      tally_add t o;
+      match (classify o, o) with
+      | `Failed, Failed err -> failures := (i, err) :: !failures
+      | _ -> ())
     outcomes;
-  {
-    n_docs = Array.length outcomes;
-    n_ok = !n_ok;
-    n_degraded = !n_degraded;
-    n_failed = !n_failed;
-    n_shed = !n_shed;
-    n_quarantined = !n_quarantined;
-    failures = List.rev !failures;
-    elapsed_ns;
-  }
+  { (tally_summary ?elapsed_ns t) with failures = List.rev !failures }
 
 let pp_summary ppf s =
   Format.fprintf ppf "%d documents: %d ok, %d degraded, %d failed" s.n_docs

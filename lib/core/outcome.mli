@@ -106,6 +106,19 @@ val summarize : ?elapsed_ns:int64 -> 'a t array -> summary
 (** [elapsed_ns] (default [0L]) stamps the batch wall time into the
     summary; {!Parallel.extract_all_outcomes} passes the measured value. *)
 
+type tally
+(** Running class counts: what {!summarize} reports, kept as outcomes
+    complete so a long-running server need not retain them. Not
+    thread-safe; callers on several domains serialize {!tally_add}. *)
+
+val tally : unit -> tally
+
+val tally_add : tally -> 'a t -> unit
+
+val tally_summary : ?elapsed_ns:int64 -> tally -> summary
+(** The summary of every outcome added so far, with [failures = []] (the
+    tally keeps counts only). *)
+
 val pp_summary : Format.formatter -> summary -> unit
 
 val summary_to_json : summary -> string

@@ -1,8 +1,10 @@
 (** The single-heap filtering algorithm (Sections 3.3–5).
 
-    One min-heap merges the inverted lists of every document token position,
-    streaming each entity's complete, sorted position list off the heap
-    while scanning every inverted list exactly once. Occurrence counting /
+    One multiway merge over the inverted lists of every document token
+    position streams each entity's complete, sorted position list while
+    scanning every inverted list exactly once. The paper uses one min-heap
+    for it; the default engine is ScanCount, which streams the same lists
+    (see {!Faerie_heaps.Multiway}). Occurrence counting /
     candidate generation then runs at one of four pruning levels
     ({!Types.pruning}); [Binary_window] is the full Faerie filter.
 
@@ -19,7 +21,8 @@ val run :
 (** [run ?merger ?pruning ?verifier problem doc] returns the verified
     matches (deduplicated, sorted by (entity, start, len)) and filtering
     statistics. Default pruning is [Binary_window]; [merger] selects the
-    multiway merge engine (default binary heap); [verifier] the
+    multiway merge engine (default [Scan_count]; every engine gives the
+    same matches and statistics); [verifier] the
     edit-distance engine for character-based verification (default
     [Auto]). *)
 

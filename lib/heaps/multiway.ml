@@ -1,9 +1,11 @@
 module Metrics = Faerie_obs.Metrics
 module Trace = Faerie_obs.Trace
+module A1 = Bigarray.Array1
 
-type merger = Binary_heap | Tournament_tree
+type merger = Binary_heap | Tournament_tree | Scan_count
 
-let m_pops = Metrics.counter ~help:"keys popped from the merge frontier" "heap_pops"
+let m_pops =
+  Metrics.counter ~help:"postings streamed by the multiway merge" "heap_pops"
 
 let m_advances =
   Metrics.counter ~help:"inverted-list cursor advances during merge"
@@ -17,6 +19,9 @@ let m_runs_binary =
 let m_runs_tournament =
   Metrics.counter ~help:"merge runs using the tournament tree"
     "heap_merge_runs_tournament"
+
+let m_runs_scan =
+  Metrics.counter ~help:"merge runs using ScanCount" "heap_merge_runs_scan"
 
 (* Number of bits needed to address [n] positions. *)
 let rec bits_for n acc = if n <= 1 then acc else bits_for ((n + 1) / 2) (acc + 1)
@@ -47,12 +52,12 @@ let scratch_for n_positions =
   Int_heap.clear sc.heap;
   sc
 
-(* Both engines stream keys [(entity lsl shift) lor position] in ascending
-   order: native int order = lexicographic (entity, position) order. The
-   consumer groups runs of equal entity into position lists, written into a
-   domain-lifetime scratch array (a group holds at most one entry per
-   document position, so [n_positions] bounds it). [f] must not retain
-   [positions] past its return. *)
+(* Both heap engines stream keys [(entity lsl shift) lor position] in
+   ascending order: native int order = lexicographic (entity, position)
+   order. The consumer groups runs of equal entity into position lists,
+   written into a domain-lifetime scratch array (a group holds at most one
+   entry per document position, so [n_positions] bounds it). [f] must not
+   retain [positions] past its return. *)
 
 let consume ~positions ~shift ~mask ~next ~f =
   let n = ref 0 in
@@ -139,7 +144,171 @@ let run_tournament ~pops ~advances ~n_positions ~buf ~offs ~lens ~shift ~mask ~f
       let sc = scratch_for n_positions in
       consume ~positions:sc.positions ~shift ~mask ~next ~f
 
-let iter_entity_positions ?(merger = Binary_heap) ~n_positions ~buf ~offs ~lens
+(* ScanCount (Li, Lu and Lu, ICDE 2008) adapted to position lists. Pass one
+   counts each entity's postings into [count], noting first touches in
+   [touched]; a radix sort orders the touched ids; a prefix sum over them
+   turns [count] into CSR offsets; pass two scatters document positions, in
+   document order, into [csr]. Every entity's slice is then ascending, and
+   the slices come out in ascending entity order — exactly the stream the
+   heap engines produce, with two linear passes in place of a heap pop and
+   re-insert per posting.
+
+   [count] spans the entity ids seen on the domain so far and is all zeros
+   between runs: each delivered entity's slot is reset as it is handed out,
+   and an aborted run resets the rest. [touched] and [sorted] (the radix
+   sort's other buffer) are sized like [count]; a run reads and resets only
+   the ids it touched, never the whole id space. [csr] holds one int32 per
+   posting, off the OCaml heap: a page's postings would otherwise grow the
+   major heap and the process's resident size with it. *)
+type scan = {
+  mutable count : int array;
+  mutable touched : int array;
+  mutable sorted : int array;
+  digit_count : int array;
+  mutable csr : (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t;
+}
+
+let radix_bits = 8
+
+let scan_key : scan Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        count = [||];
+        touched = [||];
+        sorted = [||];
+        digit_count = Array.make (1 lsl radix_bits) 0;
+        csr = A1.create Bigarray.int32 Bigarray.c_layout 0;
+      })
+
+(* Grow the id-indexed arrays to cover [max_id] (between runs [count] is
+   all zeros, so a fresh array loses nothing). *)
+let scan_for ~max_id =
+  let s = Domain.DLS.get scan_key in
+  if Array.length s.count <= max_id then begin
+    let cap = round_up (Array.length s.count) (max_id + 1) in
+    s.count <- Array.make cap 0;
+    s.touched <- Array.make cap 0;
+    s.sorted <- Array.make cap 0
+  end;
+  s
+
+(* LSD radix sort of [src.(0 .. n-1)] (ids <= [max_id]), one byte per pass,
+   ping-ponging with [dst]. Returns the buffer holding the sorted ids. *)
+let radix_sort s ~n ~max_id =
+  let digits = s.digit_count in
+  let radix = Array.length digits in
+  let src = ref s.touched and dst = ref s.sorted in
+  let shift = ref 0 in
+  while max_id lsr !shift > 0 do
+    let a = !src and b = !dst and sh = !shift in
+    Array.fill digits 0 radix 0;
+    for i = 0 to n - 1 do
+      let d = (Array.unsafe_get a i lsr sh) land (radix - 1) in
+      Array.unsafe_set digits d (Array.unsafe_get digits d + 1)
+    done;
+    let sum = ref 0 in
+    for d = 0 to radix - 1 do
+      let c = Array.unsafe_get digits d in
+      Array.unsafe_set digits d !sum;
+      sum := !sum + c
+    done;
+    for i = 0 to n - 1 do
+      let v = Array.unsafe_get a i in
+      let d = (v lsr sh) land (radix - 1) in
+      let at = Array.unsafe_get digits d in
+      Array.unsafe_set b at v;
+      Array.unsafe_set digits d (at + 1)
+    done;
+    src := b;
+    dst := a;
+    shift := sh + radix_bits
+  done;
+  !src
+
+let run_scan_count ~pops ~advances ~n_positions ~buf ~offs ~lens ~f =
+  (* Each list is ascending, so its last posting is its largest id. *)
+  let max_id = ref (-1) and live = ref 0 in
+  for pos = 0 to n_positions - 1 do
+    let len = lens.(pos) in
+    if len > 0 then begin
+      incr live;
+      let last = buf.(offs.(pos) + len - 1) in
+      if last > !max_id then max_id := last
+    end
+  done;
+  if !max_id >= 0 then begin
+    let max_id = !max_id in
+    let s = scan_for ~max_id in
+    let count = s.count and touched = s.touched in
+    let n_touched = ref 0 in
+    try
+      (* Pass one: count. The checked read keeps an out-of-contract
+         (unsorted) list from writing past [count]. *)
+      for pos = 0 to n_positions - 1 do
+        let o = offs.(pos) in
+        for i = o to o + lens.(pos) - 1 do
+          let e = buf.(i) in
+          let c = count.(e) in
+          if c = 0 then begin
+            Array.unsafe_set touched !n_touched e;
+            incr n_touched
+          end;
+          Array.unsafe_set count e (c + 1)
+        done
+      done;
+      let n = !n_touched in
+      let order = radix_sort s ~n ~max_id in
+      (* Prefix sum: [count.(e)] becomes the start of [e]'s slice. *)
+      let total = ref 0 in
+      for k = 0 to n - 1 do
+        let e = Array.unsafe_get order k in
+        let c = Array.unsafe_get count e in
+        Array.unsafe_set count e !total;
+        total := !total + c
+      done;
+      let total = !total in
+      if A1.dim s.csr < total then
+        s.csr <-
+          A1.create Bigarray.int32 Bigarray.c_layout
+            (round_up (A1.dim s.csr) total);
+      let csr = s.csr in
+      (* Pass two: scatter; [count.(e)] advances to the end of [e]'s slice. *)
+      for pos = 0 to n_positions - 1 do
+        let o = offs.(pos) and p = Int32.of_int pos in
+        for i = o to o + lens.(pos) - 1 do
+          let e = Array.unsafe_get buf i in
+          let at = Array.unsafe_get count e in
+          A1.unsafe_set csr at p;
+          Array.unsafe_set count e (at + 1)
+        done
+      done;
+      pops := total;
+      advances := total - !live;
+      let positions = (scratch_for n_positions).positions in
+      let start = ref 0 in
+      for k = 0 to n - 1 do
+        let e = Array.unsafe_get order k in
+        let stop = Array.unsafe_get count e in
+        Array.unsafe_set count e 0;
+        let m = stop - !start in
+        for j = 0 to m - 1 do
+          Array.unsafe_set positions j (Int32.to_int (A1.unsafe_get csr (!start + j)))
+        done;
+        start := stop;
+        f ~entity:e ~positions ~n:m
+      done
+    with exn ->
+      (* [f] aborted (budget exhaustion) or a list broke the contract: leave
+         [count] all zeros for the next run. [touched] still holds every id
+         this run counted, in some order, whatever the sort did to it. *)
+      let bt = Printexc.get_raw_backtrace () in
+      for k = 0 to !n_touched - 1 do
+        Array.unsafe_set count (Array.unsafe_get touched k) 0
+      done;
+      Printexc.raise_with_backtrace exn bt
+  end
+
+let iter_entity_positions ?(merger = Scan_count) ~n_positions ~buf ~offs ~lens
     ~f () =
   Faerie_util.Fault.site "heap_merge";
   if n_positions > 0 then begin
@@ -149,7 +318,8 @@ let iter_entity_positions ?(merger = Binary_heap) ~n_positions ~buf ~offs ~lens
     Metrics.incr
       (match merger with
       | Binary_heap -> m_runs_binary
-      | Tournament_tree -> m_runs_tournament);
+      | Tournament_tree -> m_runs_tournament
+      | Scan_count -> m_runs_scan);
     (* Accumulate locally and flush once per run; [f] can abort the merge
        mid-stream (budget exhaustion), so flush under protection. *)
     let pops = ref 0 and advances = ref 0 in
@@ -165,7 +335,9 @@ let iter_entity_positions ?(merger = Binary_heap) ~n_positions ~buf ~offs ~lens
                   ~shift ~mask ~f
             | Tournament_tree ->
                 run_tournament ~pops ~advances ~n_positions ~buf ~offs ~lens
-                  ~shift ~mask ~f))
+                  ~shift ~mask ~f
+            | Scan_count ->
+                run_scan_count ~pops ~advances ~n_positions ~buf ~offs ~lens ~f))
   end
 
 let heap_stats ~n_positions ~length_at =

@@ -1,26 +1,34 @@
 (** Multiway merge of the document's inverted lists — the "single heap" of
     the paper (Section 3.3).
 
-    One cursor per document token position sits on that position's inverted
-    list (entity ids, sorted ascending). A merge engine over the cursors,
-    ordered by (entity id, position), streams out every (entity, position)
-    occurrence in ascending entity order; consecutive occurrences of one
-    entity therefore form its complete position list, sorted by position —
-    each inverted list is scanned exactly once.
+    Every document token position has an inverted list (entity ids, sorted
+    ascending). The merge streams out every (entity, position) occurrence
+    grouped by entity in ascending entity order; each group is that
+    entity's complete position list, sorted by position, and each inverted
+    list is scanned exactly once.
 
     The lists arrive pre-decoded in one flat buffer (see
     {!Faerie_index.Inverted_index.decode_document}): position [i]'s list is
-    [buf[offs.(i) .. offs.(i) + lens.(i))]. The merge itself allocates only
-    its cursor/heap state and one positions scratch array per run.
+    [buf[offs.(i) .. offs.(i) + lens.(i))]. The merge allocates only
+    per-domain scratch, grown on demand and reused across runs.
 
-    Two merge engines are provided (the paper draws its heap as a loser
-    tree, footnote 3): a binary {!Int_heap} (default) and a
-    {!Loser_tree} tournament. They produce identical streams; the
-    [ablations] benchmark compares their cost. *)
+    Three merge engines produce identical streams; the [ablations]
+    benchmark compares their cost:
+    - [Scan_count] (default), ScanCount from Li, Lu and Lu (ICDE 2008): one
+      linear pass counts each entity's postings, the touched entity ids are
+      radix-sorted, and a second linear pass scatters positions into one
+      reusable CSR buffer (int32, off the OCaml heap). Its scratch is
+      proportional to the largest entity id and the largest document seen
+      on the domain, and a run never scans the whole entity-id space;
+    - [Binary_heap], the paper's single heap over one cursor per position:
+      a pop and a re-insert per posting on an {!Int_heap};
+    - [Tournament_tree], the same merge on a {!Loser_tree} (the structure
+      the paper draws, footnote 3). *)
 
 type merger =
-  | Binary_heap  (** {!Int_heap} of encoded keys (default) *)
+  | Binary_heap  (** {!Int_heap} of encoded (entity, position) keys *)
   | Tournament_tree  (** {!Loser_tree} with one leaf per non-empty list *)
+  | Scan_count  (** count, radix-sort, scatter (default) *)
 
 val iter_entity_positions :
   ?merger:merger ->
@@ -36,7 +44,13 @@ val iter_entity_positions :
     of the lists, in ascending entity order, with [positions.(0 .. n-1)]
     the ascending document positions whose list contains the entity (slots
     at [n] and beyond are garbage). The [positions] buffer is reused across
-    calls — callers must copy the prefix if they retain it. *)
+    calls — callers must copy the prefix if they retain it.
+
+    Counters: [heap_merge_runs] and one of [heap_merge_runs_binary],
+    [heap_merge_runs_tournament], [heap_merge_runs_scan] per run;
+    [heap_pops] adds the postings streamed (the same total for every engine
+    on a run that completes) and [heap_list_advances] the postings past the
+    head of each list. *)
 
 val heap_stats : n_positions:int -> length_at:(int -> int) -> int * int
 (** [(live_cursors, total_postings)] — the number of non-empty inverted

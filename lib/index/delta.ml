@@ -18,15 +18,22 @@ let m_compactions = Metrics.counter "compactions"
 
 let g_delta_entities = Metrics.gauge "delta_entities"
 
-type t = {
-  base : Inverted_index.t;
-  mode : Tk.Document.mode;
+(* The copies a mutation needs, made on the first [add], [remove] or
+   [mem]: a never-mutated overlay (every serve start-up, reload and shard
+   builds one) holds no copy of the base dictionary. *)
+type priv = {
   interner : Tk.Interner.t;
       (* private copy: [add] interns new entity tokens here, never into the
          table live readers probe *)
+  by_raw : (string, int) Hashtbl.t;  (* live raw -> id *)
+}
+
+type t = {
+  base : Inverted_index.t;
+  mode : Tk.Document.mode;
+  mutable priv : priv option;
   mutable entities : Entity.t array;
       (* dense: base entities ++ added (tombstoned slots stay) *)
-  by_raw : (string, int) Hashtbl.t;  (* live raw -> id *)
   mutable dead : Bytes.t;  (* tombstone bitset over entity ids *)
   dead_counts : int array;  (* per base token: tombstones in its block *)
   adds_by_token : (int, int list ref) Hashtbl.t;  (* live added ids *)
@@ -62,15 +69,12 @@ let create base =
     invalid_arg "Delta.create: base must be a frozen index, not an overlay";
   let dict = Inverted_index.dictionary base in
   let entities = Dictionary.entities dict in
-  let by_raw = Hashtbl.create (max 64 (Array.length entities)) in
-  Array.iter (fun e -> Hashtbl.replace by_raw e.Entity.raw e.Entity.id) entities;
   Metrics.set g_delta_entities 0.;
   {
     base;
     mode = Dictionary.mode dict;
-    interner = Tk.Interner.copy (Dictionary.interner dict);
+    priv = None;
     entities;
-    by_raw;
     dead = Bytes.create 0;
     dead_counts = Array.make (Inverted_index.n_tokens base) 0;
     adds_by_token = Hashtbl.create 64;
@@ -81,28 +85,42 @@ let create base =
     cache = None;
   }
 
+let priv t =
+  match t.priv with
+  | Some p -> p
+  | None ->
+      let dict = Inverted_index.dictionary t.base in
+      let by_raw = Hashtbl.create (max 64 (Array.length t.entities)) in
+      Array.iter
+        (fun e -> Hashtbl.replace by_raw e.Entity.raw e.Entity.id)
+        t.entities;
+      let p = { interner = Tk.Interner.copy (Dictionary.interner dict); by_raw } in
+      t.priv <- Some p;
+      p
+
 let base t = t.base
 
 let pending t = t.n_tomb + t.n_add_live
 
 let live_count t = t.base_n - t.n_tomb + t.n_add_live
 
-let mem t raw = Hashtbl.find_opt t.by_raw raw
+let mem t raw = Hashtbl.find_opt (priv t).by_raw raw
 
 let note_pending t = Metrics.set g_delta_entities (float_of_int (pending t))
 
-let tokenize t raw =
+let tokenize t p raw =
   match t.mode with
-  | Tk.Document.Word -> Tk.Tokenizer.words_intern t.interner raw
-  | Tk.Document.Gram q -> Tk.Tokenizer.qgrams_intern t.interner ~q raw
+  | Tk.Document.Word -> Tk.Tokenizer.words_intern p.interner raw
+  | Tk.Document.Gram q -> Tk.Tokenizer.qgrams_intern p.interner ~q raw
 
 let add t raw =
-  match Hashtbl.find_opt t.by_raw raw with
+  let p = priv t in
+  match Hashtbl.find_opt p.by_raw raw with
   | Some id -> Exists id
   | None ->
       let id = Array.length t.entities in
       let text = Tk.Tokenizer.normalize raw in
-      let e = Entity.make ~id ~raw ~text ~spans:(tokenize t raw) in
+      let e = Entity.make ~id ~raw ~text ~spans:(tokenize t p raw) in
       t.entities <- Array.append t.entities [| e |];
       Array.iter
         (fun tok ->
@@ -110,7 +128,7 @@ let add t raw =
           | Some ids -> ids := id :: !ids
           | None -> Hashtbl.add t.adds_by_token tok (ref [ id ]))
         e.Entity.distinct_tokens;
-      Hashtbl.replace t.by_raw raw id;
+      Hashtbl.replace p.by_raw raw id;
       t.n_add_live <- t.n_add_live + 1;
       t.mutated <- true;
       t.cache <- None;
@@ -119,10 +137,11 @@ let add t raw =
       Added id
 
 let remove t raw =
-  match Hashtbl.find_opt t.by_raw raw with
+  let p = priv t in
+  match Hashtbl.find_opt p.by_raw raw with
   | None -> Absent
   | Some id ->
-      Hashtbl.remove t.by_raw raw;
+      Hashtbl.remove p.by_raw raw;
       set_dead t id;
       let e = t.entities.(id) in
       if id < t.base_n then begin
@@ -154,7 +173,8 @@ let view t =
     match t.cache with
     | Some v -> v
     | None ->
-        let ntok = Tk.Interner.size t.interner in
+        let interner = (priv t).interner in
+        let ntok = Tk.Interner.size interner in
         let adds = Array.make ntok [||] in
         Hashtbl.iter
           (fun tok ids ->
@@ -167,7 +187,7 @@ let view t =
           t.adds_by_token;
         let dict =
           Dictionary.of_stored ~mode:t.mode
-            ~interner:(Tk.Interner.copy t.interner)
+            ~interner:(Tk.Interner.copy interner)
             t.entities
         in
         let v =

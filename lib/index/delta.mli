@@ -33,7 +33,10 @@ type remove_result =
   | Absent  (** raw not live; no-op *)
 
 val create : Inverted_index.t -> t
-(** Start an empty overlay over a frozen base.
+(** Start an empty overlay over a frozen base. The private interner copy
+    and the raw-string table a mutation needs are built on the first
+    {!add}, {!remove} or {!mem}, so an overlay that is never mutated costs
+    no copy of the base dictionary.
 
     @raise Invalid_argument if the base is itself an overlay view. *)
 

@@ -1,5 +1,5 @@
 (* Tests for Faerie_heaps: binary min-heap and the single-heap multiway
-   merge. *)
+   merge, every engine against one hashtable reference. *)
 
 module Min_heap = Faerie_heaps.Min_heap
 module Multiway = Faerie_heaps.Multiway
@@ -159,11 +159,22 @@ let test_multiway_entity_order_ascending () =
     "entities ascend" [ 2; 5; 9 ]
     (List.map fst (run_multiway lists))
 
+let engines =
+  [
+    ("binary heap", Multiway.Binary_heap);
+    ("tournament tree", Multiway.Tournament_tree);
+    ("scan count", Multiway.Scan_count);
+  ]
+
 let test_multiway_empty () =
-  Alcotest.(check (list (pair int (list int)))) "no lists" [] (run_multiway [||]);
-  Alcotest.(check (list (pair int (list int))))
-    "all empty" []
-    (run_multiway [| [||]; [||] |])
+  List.iter
+    (fun (name, merger) ->
+      Alcotest.(check (list (pair int (list int))))
+        (name ^ ": no lists") [] (run_multiway ~merger [||]);
+      Alcotest.(check (list (pair int (list int))))
+        (name ^ ": all empty") []
+        (run_multiway ~merger [| [||]; [||]; [||] |]))
+    engines
 
 let arb_lists =
   let gen =
@@ -188,7 +199,10 @@ let prop_multiway_matches_reference =
   QCheck.Test.make ~count:500 ~name:"multiway merge matches hashtable reference"
     arb_lists
     (fun lists ->
-      run_multiway lists = reference_entity_positions lists)
+      let expected = reference_entity_positions lists in
+      List.for_all
+        (fun (_, merger) -> run_multiway ~merger lists = expected)
+        engines)
 
 let prop_multiway_scans_once =
   QCheck.Test.make ~count:200 ~name:"heap_stats postings match emitted total"
@@ -205,11 +219,127 @@ let prop_multiway_scans_once =
       in
       total = emitted)
 
+(* The paper's two heap engines against each other directly; the default
+   is ScanCount, so the binary heap is named. *)
 let prop_tournament_equals_binary =
   QCheck.Test.make ~count:500 ~name:"tournament merge == binary-heap merge"
     arb_lists
     (fun lists ->
-      run_multiway ~merger:Multiway.Tournament_tree lists = run_multiway lists)
+      run_multiway ~merger:Multiway.Tournament_tree lists
+      = run_multiway ~merger:Multiway.Binary_heap lists)
+
+(* ScanCount's counter array spans the entity ids seen on the domain so
+   far. A fresh domain starts it empty, so the second run's ids are sure to
+   lie past its size; the third checks the grown array came back zeroed. *)
+let test_scan_count_grows_counter () =
+  let small = [| [| 0; 3 |]; [| 3 |]; [||]; [| 1; 3 |] |] in
+  let large = [| [| 2; 40 |]; [| 300 |]; [| 40; 300; 5000 |] |] in
+  let runs =
+    Domain.join
+      (Domain.spawn (fun () ->
+           List.map (run_multiway ~merger:Multiway.Scan_count) [ small; large; small ]))
+  in
+  List.iter2
+    (fun lists got ->
+      Alcotest.(check (list (pair int (list int))))
+        "matches reference" (reference_entity_positions lists) got)
+    [ small; large; small ] runs
+
+(* A callback that raises (a budget trip) aborts the run mid-stream; the
+   next run on the domain must still see an all-zero counter array. *)
+let test_scan_count_abort_resets () =
+  let lists = [| [| 1; 4; 7 |]; [| 4 |]; [| 1; 7 |]; [| 2; 4 |] |] in
+  let after =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let buf, offs, lens = flatten lists in
+           let seen = ref 0 in
+           (try
+              Multiway.iter_entity_positions ~merger:Multiway.Scan_count
+                ~n_positions:(Array.length lists) ~buf ~offs ~lens
+                ~f:(fun ~entity:_ ~positions:_ ~n:_ ->
+                  incr seen;
+                  if !seen = 2 then raise Exit)
+                ()
+            with Exit -> ());
+           run_multiway ~merger:Multiway.Scan_count lists))
+  in
+  Alcotest.(check (list (pair int (list int))))
+    "next run matches reference" (reference_entity_positions lists) after
+
+(* A Delta.add between two documents: the second document names an entity
+   id the domain's counter array has never covered. *)
+let test_scan_count_delta_add () =
+  let module Core = Faerie_core in
+  let module Ix = Faerie_index in
+  let sim = Faerie_sim.Sim.Jaccard 0.8 in
+  (* 32 base entities: the first run sizes the counter array to exactly
+     the base id space, so the added entity's id 32 is past its end. *)
+  let base = List.init 32 (fun i -> Printf.sprintf "base%d entity%d" i i) in
+  let problem = Core.Problem.create ~sim base in
+  let doc1 = "see base3 entity3 and base31 entity31 here" in
+  let doc2 = "now base31 entity31 and fresh added name together" in
+  let matches merger problem text =
+    let doc = Core.Problem.tokenize_document problem text in
+    fst (Core.Single_heap.run ~merger problem doc)
+  in
+  let got =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let first = matches Multiway.Scan_count problem doc1 in
+           let d = Ix.Delta.create (Core.Problem.index problem) in
+           let id =
+             match Ix.Delta.add d "fresh added name" with
+             | Ix.Delta.Added id -> id
+             | Ix.Delta.Exists _ -> Alcotest.fail "fresh raw reported Exists"
+           in
+           let problem' = Core.Problem.of_index ~sim (Ix.Delta.view d) in
+           (first, id, problem', matches Multiway.Scan_count problem' doc2)))
+  in
+  let first, id, problem', second = got in
+  check_bool "first document matches" true (first <> []);
+  check_int "added id is past the base space" 32 id;
+  check_bool "added entity found" true
+    (List.exists (fun m -> m.Core.Types.m_entity = id) second);
+  check_bool "same as the binary heap" true
+    (second = matches Multiway.Binary_heap problem' doc2)
+
+(* [heap_pops] counts postings streamed: every engine reports the same
+   number on a real document, and so does [heap_list_advances]. *)
+let test_heap_pops_equal_across_engines () =
+  let module Core = Faerie_core in
+  let module Metrics = Faerie_obs.Metrics in
+  let corpus = Faerie_datagen.Corpus.webpage ~seed:3 ~n_entities:300 ~n_documents:2 () in
+  let problem =
+    Core.Problem.create ~sim:(Faerie_sim.Sim.Jaccard 0.8)
+      (Array.to_list corpus.Faerie_datagen.Corpus.entities)
+  in
+  let doc =
+    Core.Problem.tokenize_document problem
+      corpus.Faerie_datagen.Corpus.documents.(0).Faerie_datagen.Corpus.text
+  in
+  let counts merger =
+    Metrics.reset ();
+    let r = Core.Single_heap.run ~merger problem doc in
+    let snap = Metrics.snapshot () in
+    ( r,
+      Metrics.counter_value snap "heap_pops",
+      Metrics.counter_value snap "heap_list_advances",
+      Metrics.counter_value snap "heap_merge_runs" )
+  in
+  let ((matches, _) as reference), pops, advances, runs = counts Multiway.Binary_heap in
+  check_bool "document has postings" true (pops > 1000);
+  check_int "one merge run" 1 runs;
+  check_bool "document has matches" true (matches <> []);
+  List.iter
+    (fun (name, merger) ->
+      let r, p, a, _ = counts merger in
+      check_bool (name ^ ": same matches and stats") true (r = reference);
+      check_int (name ^ ": heap_pops") pops p;
+      check_int (name ^ ": heap_list_advances") advances a)
+    engines;
+  let snap = Metrics.snapshot () in
+  check_int "scan runs counted" 1 (Metrics.counter_value snap "heap_merge_runs_scan")
 
 (* ------------------------------------------------------------------ *)
 (* Int_heap / Loser_tree                                               *)
@@ -417,6 +547,17 @@ let () =
           q prop_multiway_matches_reference;
           q prop_multiway_scans_once;
           q prop_tournament_equals_binary;
+        ] );
+      ( "scan_count",
+        [
+          Alcotest.test_case "counter array grows" `Quick
+            test_scan_count_grows_counter;
+          Alcotest.test_case "aborted run resets counters" `Quick
+            test_scan_count_abort_resets;
+          Alcotest.test_case "Delta.add between documents" `Quick
+            test_scan_count_delta_add;
+          Alcotest.test_case "heap_pops equal across engines" `Quick
+            test_heap_pops_equal_across_engines;
         ] );
       ( "int_heap",
         [

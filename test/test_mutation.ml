@@ -410,6 +410,30 @@ let test_delta_id_discipline () =
   check_int "live count reflects the churn" 2 (Ix.Delta.live_count d);
   check_bool "overlay is pending" true (Ix.Delta.pending d > 0)
 
+(* An overlay copies the base dictionary only when a mutation needs it:
+   never mutated, its view is the base itself, even after a [mem] probe;
+   and [add] interns new tokens into the private copy, never into the
+   base interner that live readers probe. *)
+let test_delta_lazy_copies () =
+  let problem =
+    Problem.create ~sim:(Sim.Jaccard 0.8) [ "alpha beta"; "beta gamma" ]
+  in
+  let base = Problem.index problem in
+  let d = Ix.Delta.create base in
+  check_bool "never-mutated view is the base" true (Ix.Delta.view d == base);
+  check_bool "mem finds a base raw" true (Ix.Delta.mem d "alpha beta" = Some 0);
+  check_bool "a probe is not a mutation" true (Ix.Delta.view d == base);
+  let interner = Ix.Dictionary.interner (Ix.Inverted_index.dictionary base) in
+  let size = Tk.Interner.size interner in
+  (match Ix.Delta.add d "zeta omega" with
+  | Ix.Delta.Added 2 -> ()
+  | _ -> Alcotest.fail "fresh raw must be Added at the next id");
+  check_int "base interner unchanged" size (Tk.Interner.size interner);
+  check_bool "new token absent from the base interner" true
+    (Tk.Interner.find_opt interner "zeta" = None);
+  check_bool "the mutated view is a new index" true (Ix.Delta.view d != base);
+  check_bool "the added raw is live" true (Ix.Delta.mem d "zeta omega" = Some 2)
+
 (* ------------------------------------------------------------------ *)
 (* Cluster: journaled mutations                                        *)
 (* ------------------------------------------------------------------ *)
@@ -787,6 +811,8 @@ let () =
           Alcotest.test_case "random mutations == rebuild (all prunings)"
             `Quick test_delta_equivalence_random;
           Alcotest.test_case "id discipline" `Quick test_delta_id_discipline;
+          Alcotest.test_case "copies deferred to the first mutation" `Quick
+            test_delta_lazy_copies;
         ] );
       ( "cluster_mutation",
         [

@@ -576,6 +576,39 @@ let test_summary_json_and_classes () =
     "{\"docs\":4,\"ok\":1,\"degraded\":0,\"failed\":1,\"shed\":1,\"quarantined\":1,\"elapsed_ns\":0}"
     (Outcome.summary_to_json s)
 
+(* [faerie serve] tallies outcome classes as requests complete instead of
+   keeping every outcome for [summarize] at exit; both must report the
+   same counts and print the same summary line, for every prefix. *)
+let test_tally_equals_summarize () =
+  let outcomes =
+    [|
+      Outcome.Ok [ 1 ];
+      Outcome.Degraded ([ 2 ], Outcome.Partial Budget.Deadline);
+      Outcome.Failed (Outcome.Shed Outcome.Deadline_expired);
+      Outcome.Failed (Outcome.Tokenize_error "boom");
+      Outcome.Ok [];
+      Outcome.Failed
+        (Outcome.Quarantined { attempts = 2; last = Outcome.Injected_fault "verify" });
+      Outcome.Degraded
+        ([], Outcome.Shard_partial { n_shards = 2; missing = [ 1 ] });
+      Outcome.Failed (Outcome.Injected_fault "heap_merge");
+    |]
+  in
+  let t = Outcome.tally () in
+  check_bool "empty tally" true
+    (Outcome.tally_summary t = Outcome.summarize [||]);
+  Array.iteri
+    (fun i o ->
+      Outcome.tally_add t o;
+      let expected = Outcome.summarize (Array.sub outcomes 0 (i + 1)) in
+      check_bool "counts equal summarize" true
+        (Outcome.tally_summary t = { expected with Outcome.failures = [] });
+      Alcotest.(check string)
+        "same summary line"
+        (Outcome.summary_to_json expected)
+        (Outcome.summary_to_json (Outcome.tally_summary t)))
+    outcomes
+
 (* ------------------------------------------------------------------ *)
 (* Budgets                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -713,6 +746,8 @@ let () =
             test_zero_lost_documents;
           Alcotest.test_case "summary classes + JSON" `Quick
             test_summary_json_and_classes;
+          Alcotest.test_case "tally == summarize" `Quick
+            test_tally_equals_summarize;
         ] );
       ( "faults",
         [
