@@ -24,19 +24,6 @@ module Bytesize = Faerie_util.Bytesize
 module Budget = Faerie_util.Budget
 open Cmdliner
 
-let read_lines path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec loop acc =
-        match input_line ic with
-        | line ->
-            loop (if String.trim line = "" then acc else String.trim line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      loop [])
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -120,16 +107,16 @@ let index_opt_arg =
   let doc = "Prebuilt binary index (see the 'index' subcommand)." in
   Arg.(value & opt (some file) None & info [ "x"; "index" ] ~docv:"FILE" ~doc)
 
+let require_source dict index =
+  if dict = None && index = None then begin
+    prerr_endline "faerie: either --dict or --index is required";
+    exit 2
+  end
+
 (* Build a problem from either a dictionary file or a saved index. *)
-let problem_of_source sim q dict_file index_file =
-  match (dict_file, index_file) with
-  | _, Some path ->
-      let _, index = Ix.Codec.load path in
-      Problem.of_index ~sim index
-  | Some path, None -> Problem.create ~sim ~q (read_lines path)
-  | None, None ->
-      prerr_endline "faerie: either --dict or --index is required";
-      exit 2
+let problem_of_source sim q dict index =
+  require_source dict index;
+  Problem.load ~sim ~q ~dict ~index
 
 (* ---- extract ---- *)
 
@@ -398,7 +385,7 @@ let explain_cmd =
   in
   let run sim q pruning dict_file doc_file jsonl top =
     guard @@ fun () ->
-    let problem = Problem.create ~sim ~q (read_lines dict_file) in
+    let problem = Problem.create ~sim ~q (Problem.read_entities dict_file) in
     let extractor = Extractor.of_problem problem in
     let sink = Explain.create () in
     let opts = { Extractor.default_opts with pruning; explain = Some sink } in
@@ -459,7 +446,7 @@ let flame_cmd =
     let module Prof = Faerie_obs.Prof in
     Trace.enable ();
     Prof.enable ();
-    let problem = Problem.create ~sim ~q (read_lines dict_file) in
+    let problem = Problem.create ~sim ~q (Problem.read_entities dict_file) in
     let extractor = Extractor.of_problem problem in
     ignore (Trace.drain ());
     let opts = { Extractor.default_opts with pruning } in
@@ -546,7 +533,7 @@ let regress_cmd =
 let stats_cmd =
   let run sim q dict_file =
     guard @@ fun () ->
-    let entities = read_lines dict_file in
+    let entities = Problem.read_entities dict_file in
     let problem = Problem.create ~sim ~q entities in
     let dict = Problem.dictionary problem in
     let index = Problem.index problem in
@@ -577,7 +564,7 @@ let index_cmd =
   in
   let run sim q dict_file out =
     guard @@ fun () ->
-    let problem = Problem.create ~sim ~q (read_lines dict_file) in
+    let problem = Problem.create ~sim ~q (Problem.read_entities dict_file) in
     Ix.Codec.save (Problem.dictionary problem) (Problem.index problem) out;
     let bytes = (Unix.stat out).Unix.st_size in
     Printf.printf "wrote %s (%s, %d entities, %d postings)\n" out
@@ -594,37 +581,9 @@ let index_cmd =
 (* ---- serve ---- *)
 
 module Supervisor = Faerie_core.Supervisor
-module Cluster = Faerie_core.Cluster
-module Serve_proto = Faerie_core.Serve_proto
+module Server = Faerie_core.Server
 module Wal = Faerie_util.Wal
-module Metrics = Faerie_obs.Metrics
-module Trace = Faerie_obs.Trace
-module Prof = Faerie_obs.Prof
-module Sampling = Faerie_obs.Sampling
-module Slowlog = Faerie_obs.Slowlog
 module Slo = Faerie_obs.Slo
-module Build_info = Faerie_obs.Build_info
-
-(* OCaml channels surface EINTR/EPIPE as [Sys_error] with strerror text;
-   match on the message to retry interrupted reads (a SIGHUP reload must
-   not end the session) and to turn a vanished client into clean
-   shutdown. *)
-let sys_error_mentions msg needle =
-  let n = String.length needle and m = String.length msg in
-  let rec go i = i + n <= m && (String.sub msg i n = needle || go (i + 1)) in
-  go 0
-
-let is_eintr msg = sys_error_mentions msg "Interrupted"
-
-let is_epipe msg = sys_error_mentions msg "Broken pipe"
-
-let m_index_reloads =
-  Metrics.counter ~help:"successful hot index reloads in serve mode"
-    "index_reloads"
-
-let g_index_generation =
-  Metrics.gauge ~help:"current index snapshot generation in serve mode"
-    ~agg:`Max "index_generation"
 
 (* --inject SEED:site=rate[,site=rate...] — arm the deterministic fault
    registry for the whole serve session (testing hook; the serve smoke CI
@@ -841,22 +800,12 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "wal" ] ~docv:"FILE" ~doc)
   in
-  let run sim q dict_file index_file pruning domains retries backoff_ms
-      backoff_max_ms quarantine shed timeout_ms max_doc_bytes queue inject
-      shards shard_timeout_ms metrics_format stats_interval_s
-      trace_sample_rate trace_seed slow_ms slowlog_file slowlog_k slo_spec
-      wal_file =
+  let run sim q dict index pruning domains retries backoff_ms backoff_max_ms
+      quarantine shed timeout_ms max_doc_bytes queue inject shards
+      shard_timeout_ms metrics_format stats_interval_s trace_sample_rate
+      trace_seed slow_ms slowlog slowlog_k slo_spec wal =
     guard @@ fun () ->
-    (match inject with
-    | Some cfg -> Faerie_util.Fault.configure cfg
-    | None -> ());
-    (* ---- request diagnostics (DESIGN.md §4c) ----
-       Armed before any fork so shard processes inherit the memoized git
-       revision and the sampling/selective-trace flags. Disabled
-       facilities cost one atomic load per request. *)
-    let t_start = Unix.gettimeofday () in
-    Build_info.note ();
-    let slo_objective =
+    let slo =
       match slo_spec with
       | None -> Slo.none
       | Some spec -> (
@@ -866,785 +815,47 @@ let serve_cmd =
               Printf.eprintf "faerie: bad --slo spec: %s\n" msg;
               exit 2)
     in
-    let slo_tracker = Slo.tracker () in
-    let last_slo : Slo.assessment option ref = ref None in
-    let assess_slo snap =
-      if not (Slo.is_empty slo_objective) then
-        last_slo := Some (Slo.assess slo_tracker slo_objective snap)
-    in
-    let slo_json () = Option.map Slo.to_json !last_slo in
-    let health_status base =
-      match !last_slo with
-      | Some a when a.Slo.burning -> "slo_burn"
-      | _ -> base
-    in
-    if trace_sample_rate > 0. then begin
-      Sampling.configure ~seed:trace_seed trace_sample_rate;
-      (* Selective recording: only spans tagged with a sampled request's
-         trace id are kept, so the 99% unsampled traffic of a 1% rate
-         leaves nothing in the span buffers. *)
-      Trace.enable ();
-      Trace.set_selective true
-    end;
-    let slowlog_on = slow_ms <> None || slowlog_file <> None in
-    if slowlog_on then
-      Slowlog.configure ~capacity:slowlog_k ?slow_ms ?path:slowlog_file ();
-    (* Everything a slowlog record needs beyond the per-request outcome:
-       the record is a self-contained repro in the Quarantine tradition,
-       so it carries the full spec the server is running. *)
-    let slowrec ~doc_id ~id ~trace ~gen ~wall_ns ~stages_ns ~budget ~text out =
-      {
-        Serve_proto.Slowrec.doc_id;
-        id;
-        trace;
-        gen;
-        wall_ms = wall_ns /. 1e6;
-        outcome = Outcome.class_name (Outcome.classify out);
-        stages_ms = List.map (fun (n, v) -> (n, v /. 1e6)) stages_ns;
-        sim;
-        q;
-        pruning;
-        budget;
-        fault = Faerie_util.Fault.current ();
-        text;
-      }
-    in
-    let capture_slowrec ~wall_ns rec_ =
-      if Slowlog.should_capture ~wall_ns then
-        Slowlog.capture ~wall_ns (Serve_proto.Slowrec.to_json rec_)
-    in
-    let slowlog_response () =
-      Serve_proto.slowlog_response_json ~total:(Slowlog.total ())
-        (List.map snd (Slowlog.drain ()))
-    in
-    (* A client that disconnects mid-response must look like EOF/EPIPE on
-       the stream, not kill the server with SIGPIPE. *)
+    require_source dict index;
+    (* A client that disconnects mid-response must look like EPIPE on the
+       stream, not kill the server with SIGPIPE. SIGHUP (reload) and
+       SIGALRM (stats tick) only set flags the request loop polls: a tick
+       may need shard round-trips, nothing a handler may do, and a timer
+       domain would keep a cluster coordinator from forking shards. *)
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ | Sys_error _ -> ());
-    (* Hot reload triggers: SIGHUP (flag checked between requests) or a
-       changed mtime on the --index snapshot. A failed reload (torn write,
-       corruption, missing file) keeps the current generation serving. *)
-    let sighup = Atomic.make false in
-    (try
-       ignore
-         (Sys.signal Sys.sighup
-            (Sys.Signal_handle (fun _ -> Atomic.set sighup true)))
-     with Invalid_argument _ | Sys_error _ -> ());
-    let index_mtime =
-      match index_file with
-      | Some p -> (
-          try Some (ref (Unix.stat p).Unix.st_mtime)
-          with Unix.Unix_error _ -> None)
-      | None -> None
-    in
-    let mtime_changed () =
-      match (index_file, index_mtime) with
-      | Some p, Some mt -> (
-          match
-            (try Some (Unix.stat p).Unix.st_mtime with Unix.Unix_error _ -> None)
-          with
-          | Some m when m <> !mt ->
-              mt := m;
-              true
-          | _ -> false)
-      | _ -> false
-    in
-    (* EINTR/EPIPE-hardened NDJSON endpoints. [client_gone] flips once the
-       peer closed stdout; from then on responses are dropped and the
-       request loop winds down cleanly (summary still reaches stderr). *)
-    let client_gone = Atomic.make false in
-    let out_lock = Mutex.create () in
-    let rec flush_retry () =
-      try flush stdout with Sys_error m when is_eintr m -> flush_retry ()
-    in
-    let print_line s =
-      Mutex.lock out_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock out_lock)
-        (fun () ->
-          if not (Atomic.get client_gone) then
-            try
-              print_string s;
-              print_newline ();
-              flush_retry ()
-            with
-            | Sys_error m when is_epipe m -> Atomic.set client_gone true
-            | Sys_error m when is_eintr m -> (
-                try flush_retry ()
-                with Sys_error m when is_epipe m ->
-                  Atomic.set client_gone true))
-    in
-    (* --stats-interval-s ticker. SIGALRM only sets a flag; the snapshot
-       is emitted from the request loop (on the interrupted read, or
-       between requests) because cluster mode does frame round-trips to
-       pull shard registries — nothing a signal handler may do. No timer
-       domain either: the cluster coordinator must stay the sole live
-       domain of its process or later shard forks would be undefined. *)
-    let stats_tick = Atomic.make false in
-    let tick_hook = ref (fun () -> ()) in
-    let maybe_tick () =
-      if Atomic.exchange stats_tick false then !tick_hook ()
-    in
-    if stats_interval_s > 0 then begin
-      (try
-         ignore
-           (Sys.signal Sys.sigalrm
-              (Sys.Signal_handle (fun _ -> Atomic.set stats_tick true)))
+    let flag_on signal =
+      let flag = Atomic.make false in
+      (try Sys.set_signal signal (Sys.Signal_handle (fun _ -> Atomic.set flag true))
        with Invalid_argument _ | Sys_error _ -> ());
-      let s = float_of_int stats_interval_s in
-      try
-        ignore
-          (Unix.setitimer Unix.ITIMER_REAL
-             { Unix.it_interval = s; it_value = s })
-      with Unix.Unix_error _ -> ()
-    end;
-    (* Requests are read from the raw fd, not a buffered channel: channel
-       reads transparently restart on EINTR, which would sit on a pending
-       tick until the next request arrives. Parking in select instead
-       lets SIGALRM surface ticks while the server is idle. *)
-    let lines_q = Queue.create () in
-    let acc = Buffer.create 4096 in
-    let rbuf = Bytes.create 65536 in
-    let eof = ref false in
-    let rec read_request_line () =
-      if not (Queue.is_empty lines_q) then Some (Queue.take lines_q)
-      else if !eof then None
+      flag
+    in
+    let reload_requested = flag_on Sys.sighup in
+    let tick_requested =
+      if stats_interval_s <= 0 then Atomic.make false
       else begin
-        maybe_tick ();
-        match Unix.select [ Unix.stdin ] [] [] (-1.) with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-            maybe_tick ();
-            read_request_line ()
-        | _ -> (
-            match Unix.read Unix.stdin rbuf 0 (Bytes.length rbuf) with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-                maybe_tick ();
-                read_request_line ()
-            | 0 ->
-                eof := true;
-                if Buffer.length acc > 0 then begin
-                  let l = Buffer.contents acc in
-                  Buffer.clear acc;
-                  Some l
-                end
-                else None
-            | n ->
-                for i = 0 to n - 1 do
-                  match Bytes.get rbuf i with
-                  | '\n' ->
-                      Queue.add (Buffer.contents acc) lines_q;
-                      Buffer.clear acc
-                  | c -> Buffer.add_char acc c
-                done;
-                read_request_line ())
+        let flag = flag_on Sys.sigalrm in
+        let s = float_of_int stats_interval_s in
+        (try
+           ignore
+             (Unix.setitimer Unix.ITIMER_REAL
+                { Unix.it_interval = s; it_value = s })
+         with Unix.Unix_error _ -> ());
+        flag
       end
     in
-    let admin_error_line e =
-      let module J = Faerie_util.Json in
-      J.to_string
-        (J.Obj
-           [
-             ("v", J.Num (float_of_int Serve_proto.version));
-             ("outcome", J.Str "error");
-             ("error", J.Str (Serve_proto.parse_error_to_string e));
-           ])
+    let retry = { Supervisor.retries; backoff_ms; backoff_max_ms; seed = 0 } in
+    let pool =
+      { Supervisor.domains; retry; queue_capacity = queue; quarantine; shed;
+        shard = None }
     in
-    let pool_retry = { Supervisor.retries; backoff_ms; backoff_max_ms; seed = 0 } in
-    (* Startup WAL recovery, shared by both modes: replay the whole-record
-       prefix through [apply], repair a torn tail in place (expected crash
-       debris), and return the handle for appends. A Corrupt log — bad
-       checksum, not a torn tail — aborts startup via [guard]: it means
-       bit rot or foreign bytes, and silently dropping records would lose
-       acknowledged mutations. *)
-    let wal_recover apply =
-      match wal_file with
-      | None -> None
-      | Some path ->
-          let n, tail = Wal.replay path apply in
-          (match tail with
-          | Wal.Clean -> ()
-          | Wal.Torn { at; len } ->
-              Printf.eprintf
-                "faerie: serve: wal torn tail repaired (whole records up to \
-                 byte %d of %d)\n\
-                 %!"
-                at len;
-              Wal.repair path tail);
-          if n > 0 then
-            Printf.eprintf "faerie: serve: replayed %d wal mutation(s)\n%!" n;
-          Some (Wal.openfile path)
+    let shard_timeout_ms =
+      if shard_timeout_ms > 0 then Some shard_timeout_ms else None
     in
-    let wal_replay_into path apply =
-      let n, _tail = Wal.replay path apply in
-      if n > 0 then
-        Printf.eprintf "faerie: serve: re-applied %d wal mutation(s)\n%!" n
-    in
-    let serve_single () =
-      let load_problem () = problem_of_source sim q dict_file index_file in
-      (* The Delta overlay wraps the frozen index so dict_add/dict_remove
-         admin ops mutate the serving dictionary online. Delta.view is
-         copy-on-write, so publishing a new extractor never races the
-         in-flight extractions still holding the previous one. *)
-      let delta_ref = ref (Ix.Delta.create (Problem.index (load_problem ()))) in
-      let apply_op d = function
-        | Wal.Add raw -> ignore (Ix.Delta.add d raw : Ix.Delta.add_result)
-        | Wal.Remove raw ->
-            ignore (Ix.Delta.remove d raw : Ix.Delta.remove_result)
-      in
-      let wal = wal_recover (fun op -> apply_op !delta_ref op) in
-      let ex_of_delta d =
-        Extractor.of_problem (Problem.of_index ~sim (Ix.Delta.view d))
-      in
-      let ex_ref = Atomic.make (ex_of_delta !delta_ref) in
-      let gen = Atomic.make 0 in
-      let last_compact = ref (Unix.gettimeofday ()) in
-      Metrics.set g_index_generation 0.;
-      let reloads = ref 0 in
-      let reload () =
-        match
-          let p = load_problem () in
-          let d = Ix.Delta.create (Problem.index p) in
-          (* The source snapshot predates the WAL's pending mutations;
-             re-apply them so a reload never rolls back accepted writes.
-             Also the recovery path after a crash between compaction's
-             snapshot save and wal truncate: replay against the already-
-             folded snapshot is a pure no-op (add -> Exists,
-             remove -> Absent). *)
-          (match wal with
-          | Some w -> wal_replay_into (Wal.path w) (fun op -> apply_op d op)
-          | None -> ());
-          d
-        with
-        | d ->
-            delta_ref := d;
-            Atomic.set ex_ref (ex_of_delta d);
-            let g = 1 + Atomic.fetch_and_add gen 1 in
-            incr reloads;
-            Metrics.incr m_index_reloads;
-            Metrics.set g_index_generation (float_of_int g);
-            Printf.eprintf "faerie: serve: reloaded index (generation %d)\n%!" g
-        | exception e ->
-            let msg =
-              match e with
-              | Ix.Codec.Corrupt m -> "corrupt index: " ^ m
-              | Ix.Codec.Truncated { at; len } ->
-                  Printf.sprintf "truncated index (byte %d of %d)" at len
-              | Wal.Corrupt m -> "corrupt wal: " ^ m
-              | Faerie_util.Fault.Injected site -> "injected fault at " ^ site
-              | Sys_error m -> m
-              | e -> raise e
-            in
-            Printf.eprintf
-              "faerie: serve: reload failed, keeping generation %d: %s\n%!"
-              (Atomic.get gen) msg
-      in
-      let maybe_reload () =
-        if Atomic.exchange sighup false then reload ()
-        else if mtime_changed () then reload ()
-      in
-      (* Durability order is the contract: WAL append (fsynced) first, and
-         only then the in-memory overlay. An injected wal_append fault —
-         or any append error — rejects the mutation outright, so every
-         acknowledged mutation is on disk before any request can see it. *)
-      let mutate op =
-        let opname, wop =
-          match op with
-          | `Add r -> ("dict_add", Wal.Add r)
-          | `Remove r -> ("dict_remove", Wal.Remove r)
-        in
-        match (match wal with Some w -> Wal.append w wop | None -> ()) with
-        | exception Faerie_util.Fault.Injected site ->
-            Serve_proto.admin_error_json ~op:opname
-              (Printf.sprintf "injected fault at %s: mutation not applied"
-                 site)
-        | exception e ->
-            Serve_proto.admin_error_json ~op:opname
-              ("wal append failed: " ^ Printexc.to_string e)
-        | () ->
-            let d = !delta_ref in
-            let applied, entity =
-              match op with
-              | `Add r -> (
-                  match Ix.Delta.add d r with
-                  | Ix.Delta.Added id -> (true, id)
-                  | Ix.Delta.Exists id -> (false, id))
-              | `Remove r -> (
-                  match Ix.Delta.remove d r with
-                  | Ix.Delta.Removed id -> (true, id)
-                  | Ix.Delta.Absent -> (false, -1))
-            in
-            if applied then Atomic.set ex_ref (ex_of_delta d);
-            Serve_proto.dict_response_json ~op:opname ~applied ~entity
-              ~entities:(Ix.Delta.live_count d)
-              ~gen:(Atomic.get gen)
-      in
-      let do_compact () =
-        match index_file with
-        | None ->
-            Serve_proto.admin_error_json ~op:"compact"
-              "compact requires --index (a durable snapshot to fold into)"
-        | Some path -> (
-            let d = !delta_ref in
-            let folded = Ix.Delta.pending d in
-            match
-              Faerie_util.Fault.with_context (Atomic.get gen + 1) (fun () ->
-                  (* compact_save: dies before anything durable changed. *)
-                  Faerie_util.Fault.site "compact_save";
-                  let p = Problem.of_index ~sim (Ix.Delta.compact d) in
-                  Ix.Codec.save (Problem.dictionary p) (Problem.index p) path;
-                  (* compact_commit: the folded snapshot is on disk but the
-                     WAL still holds its mutations — a crash here replays
-                     them idempotently against it on restart. *)
-                  Faerie_util.Fault.site "compact_commit";
-                  (match wal with Some w -> Wal.truncate w | None -> ());
-                  p)
-            with
-            | exception Faerie_util.Fault.Injected site ->
-                Serve_proto.admin_error_json ~op:"compact"
-                  (Printf.sprintf "injected fault at %s" site)
-            | exception Sys_error m ->
-                Serve_proto.admin_error_json ~op:"compact" m
-            | p ->
-                delta_ref := Ix.Delta.create (Problem.index p);
-                Atomic.set ex_ref (Extractor.of_problem p);
-                let g = 1 + Atomic.fetch_and_add gen 1 in
-                Metrics.set g_index_generation (float_of_int g);
-                last_compact := Unix.gettimeofday ();
-                (* our own save just touched --index; swallow the mtime
-                   delta so the next request does not trigger a reload *)
-                ignore (mtime_changed () : bool);
-                Serve_proto.compact_response_json ~gen:g ~folded
-                  ~entities:(Ix.Delta.live_count d))
-      in
-      let config =
-        {
-          Supervisor.domains;
-          retry = pool_retry;
-          queue_capacity = queue;
-          quarantine;
-          shed;
-          shard = None;
-        }
-      in
-      let pool = Supervisor.create ~config (fun () -> Atomic.get ex_ref) in
-      tick_hook :=
-        (fun () ->
-          Supervisor.note_queue_depth pool;
-          Prof.note_rss ();
-          let snap = Metrics.snapshot () in
-          assess_slo snap;
-          prerr_endline
-            (Serve_proto.stats_response_json ~format:metrics_format snap);
-          match !last_slo with
-          | Some a -> prerr_endline ("faerie: serve: " ^ Slo.render a)
-          | None -> ());
-      let done_lock = Mutex.create () in
-      let tally = Outcome.tally () in
-      let record out =
-        Mutex.lock done_lock;
-        Outcome.tally_add tally out;
-        Mutex.unlock done_lock
-      in
-      let ord = ref 0 in
-      let continue = ref true in
-      while !continue do
-        match read_request_line () with
-        | None -> continue := false
-        | Some line ->
-            maybe_reload ();
-            maybe_tick ();
-            if Atomic.get client_gone then continue := false
-            else if String.trim line <> "" then begin
-              (* Admin ops never consume a doc ordinal, so a probed server
-                 keeps the exact fault schedule of an unprobed one. *)
-              match Serve_proto.parse_admin line with
-              | Some (Error e) -> print_line (admin_error_line e)
-              | Some (Ok Serve_proto.Stats) ->
-                  Supervisor.note_queue_depth pool;
-                  Prof.note_rss ();
-                  let snap = Metrics.snapshot () in
-                  assess_slo snap;
-                  print_line
-                    (Serve_proto.stats_response_json ~format:metrics_format
-                       snap)
-              | Some (Ok Serve_proto.Health) ->
-                  (* With a stats ticker armed the ticks own the SLO
-                     delta windows, so health reports the cached
-                     assessment — matching cluster mode, and keeping a
-                     frequent liveness probe from shrinking the windows
-                     to vacuous slivers. Without a ticker the probe is
-                     the only assessor, so it refreshes off the local
-                     registry (frame-free either way). *)
-                  if stats_interval_s <= 0 then
-                    assess_slo (Metrics.snapshot ());
-                  print_line
-                    (Serve_proto.health_response_json
-                       ~uptime_s:(Unix.gettimeofday () -. t_start)
-                       ~max_rss_bytes:(float_of_int (Prof.max_rss_bytes ()))
-                       ?slo:(slo_json ())
-                       ~status:(health_status "ok")
-                       [
-                         {
-                           Serve_proto.h_shard = 0;
-                           h_up = true;
-                           h_gen = Atomic.get gen;
-                           h_restarts = Supervisor.worker_restarts pool;
-                           h_queue_depth = Supervisor.queue_depth pool;
-                           h_delta = Ix.Delta.pending !delta_ref;
-                           h_compact_age_s =
-                             Some (Unix.gettimeofday () -. !last_compact);
-                         };
-                       ])
-              | Some (Ok Serve_proto.Slowlog_dump) ->
-                  print_line (slowlog_response ())
-              | Some (Ok (Serve_proto.Dict_add raw)) ->
-                  print_line (mutate (`Add raw))
-              | Some (Ok (Serve_proto.Dict_remove raw)) ->
-                  print_line (mutate (`Remove raw))
-              | Some (Ok Serve_proto.Compact) -> print_line (do_compact ())
-              | None -> (
-                  let o = !ord in
-                  incr ord;
-                  match Serve_proto.parse_request ~ord:o line with
-                  | Error e -> print_line (Serve_proto.error_json ~ord:o e)
-                  | Ok req ->
-                      let budget =
-                        {
-                          Budget.spec_unlimited with
-                          timeout_ms =
-                            (match req.Serve_proto.timeout_ms with
-                            | Some _ as t -> t
-                            | None -> timeout_ms);
-                          max_bytes = max_doc_bytes;
-                        }
-                      in
-                      let opts =
-                        { Extractor.default_opts with pruning; budget }
-                      in
-                      let id = req.Serve_proto.id in
-                      let tid =
-                        if Sampling.decide o then Sampling.trace_id o else 0
-                      in
-                      let trace = if tid = 0 then None else Some (tid, 0) in
-                      let text = req.Serve_proto.text in
-                      ignore
-                        (Supervisor.submit pool ?id ~opts ~doc_id:o ?trace
-                           text ~on_done:(fun out ->
-                             record out;
-                             (* Runs on the worker domain that extracted,
-                                so the sealed stage scratch is this
-                                document's. Draining the sampled trace
-                                here bounds span memory whether or not
-                                the record makes the ring. *)
-                             (if tid <> 0 then
-                                ignore (Trace.drain_trace tid : Trace.span list));
-                             (if Slowlog.armed () then
-                                match Slowlog.last_doc () with
-                                | Some d ->
-                                    let wall_ns = d.Slowlog.wall_ns in
-                                    let stages_ns =
-                                      List.init Slowlog.n_stages (fun i ->
-                                          ( Slowlog.stage_name i,
-                                            d.Slowlog.stages_ns.(i) ))
-                                    in
-                                    capture_slowrec ~wall_ns
-                                      (slowrec ~doc_id:o ~id ~trace:tid
-                                         ~gen:(Atomic.get gen) ~wall_ns
-                                         ~stages_ns ~budget ~text out)
-                                | None -> ());
-                             print_line
-                               (Serve_proto.response_json ~ord:o ~id
-                                  ~gen:(Atomic.get gen) out))))
-            end
-      done;
-      Supervisor.shutdown pool;
-      Slowlog.disarm ();
-      Prof.note_rss ();
-      let final = Metrics.snapshot () in
-      assess_slo final;
-      let summary = Outcome.tally_summary tally in
-      prerr_endline
-        (Serve_proto.summary_json ~metrics:final ?slo:(slo_json ())
-           ~reloads:!reloads summary);
-      0
-    in
-    let serve_cluster () =
-      let entities_of_source () =
-        match (dict_file, index_file) with
-        | _, Some path ->
-            let dict, _ = Ix.Codec.load path in
-            Array.to_list
-              (Array.map
-                 (fun e -> e.Ix.Entity.raw)
-                 (Ix.Dictionary.entities dict))
-        | Some path, None -> read_lines path
-        | None, None ->
-            prerr_endline "faerie: either --dict or --index is required";
-            exit 2
-      in
-      let config =
-        {
-          Cluster.shards;
-          pool =
-            {
-              Supervisor.domains;
-              retry = pool_retry;
-              queue_capacity = queue;
-              quarantine;
-              shed;
-              shard = None;
-            };
-          retry = pool_retry;
-          shard_timeout_ms =
-            (if shard_timeout_ms > 0 then Some shard_timeout_ms else None);
-          pruning;
-          budget =
-            {
-              Budget.spec_unlimited with
-              timeout_ms;
-              max_bytes = max_doc_bytes;
-            };
-          snapshot_dir = None;
-          slow_stages = slowlog_on;
-        }
-      in
-      let cluster = Cluster.create ~config ~sim ~q entities_of_source in
-      (* WAL replay routes each recovered mutation to its owning shard,
-         exactly like a live admin op: the coordinator journals it and the
-         shard applies it to its Delta overlay. *)
-      let apply_op = function
-        | Wal.Add raw -> ignore (Cluster.dict_add cluster raw)
-        | Wal.Remove raw -> ignore (Cluster.dict_remove cluster raw)
-      in
-      let wal = wal_recover apply_op in
-      (* Peak RSS from the last merged pull: health must stay frame-free
-         (a shard stats round-trip would shift the shard_stats fault
-         ordinals), so it reports the cached cluster-wide max. *)
-      let merged_rss = ref 0. in
-      let pull_stats () =
-        Prof.note_rss ();
-        let merged, per_shard = Cluster.stats cluster in
-        let missing =
-          List.filter_map
-            (fun (sid, snap) -> if snap = None then Some sid else None)
-            per_shard
-        in
-        merged_rss := Float.max !merged_rss
-            (Metrics.gauge_value merged "max_rss_bytes");
-        assess_slo merged;
-        (merged, missing)
-      in
-      tick_hook :=
-        (fun () ->
-          let merged, missing = pull_stats () in
-          prerr_endline
-            (Serve_proto.stats_response_json ~missing ~format:metrics_format
-               merged);
-          match !last_slo with
-          | Some a -> prerr_endline ("faerie: serve: " ^ Slo.render a)
-          | None -> ());
-      Metrics.set g_index_generation 0.;
-      let reloads = ref 0 in
-      let reload () =
-        match Cluster.reload cluster with
-        | Ok g ->
-            incr reloads;
-            Metrics.incr m_index_reloads;
-            Metrics.set g_index_generation (float_of_int g);
-            Printf.eprintf "faerie: serve: reloaded cluster (generation %d)\n%!"
-              g;
-            (* The reloaded source predates the WAL's pending mutations;
-               re-route them so a reload never rolls back accepted writes
-               (pure no-ops for any the source already absorbed). *)
-            (match wal with
-            | Some w -> (
-                try wal_replay_into (Wal.path w) apply_op
-                with e ->
-                  Printf.eprintf
-                    "faerie: serve: wal re-apply after reload failed: %s\n%!"
-                    (Printexc.to_string e))
-            | None -> ())
-        | Error msg ->
-            Printf.eprintf
-              "faerie: serve: reload failed, keeping generation %d: %s\n%!"
-              (Cluster.generation cluster) msg
-      in
-      let maybe_reload () =
-        if Atomic.exchange sighup false then reload ()
-        else if mtime_changed () then reload ()
-      in
-      (* Same durability order as single mode: fsynced WAL append first,
-         only then the routed in-memory mutation. *)
-      let mutate op =
-        let opname, wop =
-          match op with
-          | `Add r -> ("dict_add", Wal.Add r)
-          | `Remove r -> ("dict_remove", Wal.Remove r)
-        in
-        match (match wal with Some w -> Wal.append w wop | None -> ()) with
-        | exception Faerie_util.Fault.Injected site ->
-            Serve_proto.admin_error_json ~op:opname
-              (Printf.sprintf "injected fault at %s: mutation not applied"
-                 site)
-        | exception e ->
-            Serve_proto.admin_error_json ~op:opname
-              ("wal append failed: " ^ Printexc.to_string e)
-        | () ->
-            let applied, entity =
-              match op with
-              | `Add r -> (
-                  match Cluster.dict_add cluster r with
-                  | `Added id -> (true, id)
-                  | `Exists id -> (false, id))
-              | `Remove r -> (
-                  match Cluster.dict_remove cluster r with
-                  | `Removed id -> (true, id)
-                  | `Absent -> (false, -1))
-            in
-            Serve_proto.dict_response_json ~op:opname ~applied ~entity
-              ~entities:(Cluster.live_count cluster)
-              ~gen:(Cluster.generation cluster)
-      in
-      let do_compact () =
-        if wal <> None && index_file = None then
-          Serve_proto.admin_error_json ~op:"compact"
-            "compact with --wal requires --index (a durable snapshot to fold \
-             into)"
-        else
-          match Cluster.compact cluster with
-          | Error msg -> Serve_proto.admin_error_json ~op:"compact" msg
-          | Ok (g, folded) ->
-              (* The cluster's own snapshots live in its (possibly temp)
-                 shard dir; fold the result into the durable --index source
-                 too, then drop the WAL. A crash between these steps is
-                 safe: the WAL replays idempotently against whichever
-                 snapshot the restart loads. *)
-              (match index_file with
-              | Some path ->
-                  let live =
-                    List.init (Cluster.live_count cluster) (fun i ->
-                        Option.get (Cluster.entity_raw cluster i))
-                  in
-                  let p = Problem.create ~sim ~q live in
-                  Ix.Codec.save (Problem.dictionary p) (Problem.index p) path;
-                  ignore (mtime_changed () : bool)
-              | None -> ());
-              (match wal with Some w -> Wal.truncate w | None -> ());
-              Metrics.set g_index_generation (float_of_int g);
-              Serve_proto.compact_response_json ~gen:g ~folded
-                ~entities:(Cluster.live_count cluster)
-      in
-      let tally = Outcome.tally () in
-      let ord = ref 0 in
-      let continue = ref true in
-      while !continue do
-        match read_request_line () with
-        | None -> continue := false
-        | Some line ->
-            maybe_reload ();
-            maybe_tick ();
-            if Atomic.get client_gone then continue := false
-            else if String.trim line <> "" then begin
-              match Serve_proto.parse_admin line with
-              | Some (Error e) -> print_line (admin_error_line e)
-              | Some (Ok Serve_proto.Stats) ->
-                  let merged, missing = pull_stats () in
-                  print_line
-                    (Serve_proto.stats_response_json ~missing
-                       ~format:metrics_format merged)
-              | Some (Ok Serve_proto.Health) ->
-                  (* No shard round-trips here: the SLO window and peak
-                     RSS are whatever the last stats pull cached. *)
-                  let status, shard_healths = Cluster.health cluster in
-                  print_line
-                    (Serve_proto.health_response_json
-                       ~uptime_s:(Unix.gettimeofday () -. t_start)
-                       ~max_rss_bytes:
-                         (Float.max
-                            (float_of_int (Prof.max_rss_bytes ()))
-                            !merged_rss)
-                       ?slo:(slo_json ())
-                       ~status:(health_status status)
-                       shard_healths)
-              | Some (Ok Serve_proto.Slowlog_dump) ->
-                  print_line (slowlog_response ())
-              | Some (Ok (Serve_proto.Dict_add raw)) ->
-                  print_line (mutate (`Add raw))
-              | Some (Ok (Serve_proto.Dict_remove raw)) ->
-                  print_line (mutate (`Remove raw))
-              | Some (Ok Serve_proto.Compact) -> print_line (do_compact ())
-              | None -> (
-                  let o = !ord in
-                  incr ord;
-                  match Serve_proto.parse_request ~ord:o line with
-                  | Error e -> print_line (Serve_proto.error_json ~ord:o e)
-                  | Ok req ->
-                      let id = req.Serve_proto.id in
-                      let timeout_ms =
-                        match req.Serve_proto.timeout_ms with
-                        | Some _ as t -> t
-                        | None -> timeout_ms
-                      in
-                      let text = req.Serve_proto.text in
-                      let stages_ref = ref [] in
-                      let stages_out =
-                        if slowlog_on then Some stages_ref else None
-                      in
-                      let t0 = Trace.now_ns () in
-                      let out =
-                        Cluster.submit cluster ?id ?timeout_ms ?stages_out
-                          ~doc:o text
-                      in
-                      let wall_ns =
-                        Int64.to_float (Int64.sub (Trace.now_ns ()) t0)
-                      in
-                      let tid =
-                        if Sampling.armed () && Sampling.decide o then
-                          Sampling.trace_id o
-                        else 0
-                      in
-                      (* Grafted shard spans were adopted into the
-                         coordinator's buffer; collect them now so span
-                         memory stays bounded. *)
-                      (if tid <> 0 then
-                         ignore (Trace.drain_trace tid : Trace.span list));
-                      (if slowlog_on then
-                         let budget =
-                           {
-                             Budget.spec_unlimited with
-                             timeout_ms;
-                             max_bytes = max_doc_bytes;
-                           }
-                         in
-                         capture_slowrec ~wall_ns
-                           (slowrec ~doc_id:o ~id ~trace:tid
-                              ~gen:(Cluster.generation cluster) ~wall_ns
-                              ~stages_ns:!stages_ref ~budget ~text out));
-                      Outcome.tally_add tally out;
-                      print_line
-                        (Serve_proto.response_json ~ord:o ~id
-                           ~gen:(Cluster.generation cluster) out))
-            end
-      done;
-      (* The cluster-merged snapshot must be pulled while the shards still
-         live; it lands in the summary's "metrics" object. *)
-      Prof.note_rss ();
-      let final_metrics, _ = Cluster.stats cluster in
-      Cluster.shutdown cluster;
-      Slowlog.disarm ();
-      assess_slo final_metrics;
-      let tot = Cluster.totals cluster in
-      let summary = Outcome.tally_summary tally in
-      prerr_endline
-        (Serve_proto.cluster_summary_json ~metrics:final_metrics
-           ?slo:(slo_json ()) ~reloads:!reloads ~shards
-           ~shard_restarts:tot.Cluster.shard_restarts
-           ~shard_timeouts:tot.Cluster.shard_timeouts
-           ~docs_partial:tot.Cluster.docs_partial
-           ~quarantined_pairs:tot.Cluster.quarantined_pairs summary);
-      0
-    in
-    if shards > 0 then serve_cluster () else serve_single ()
+    Server.main
+      { Faerie_core.Backend.sim; q; dict; index; pruning; timeout_ms;
+        max_doc_bytes; pool; shards; shard_timeout_ms; metrics_format;
+        stats_interval_s; trace_sample_rate; trace_seed; slow_ms; slowlog;
+        slowlog_k; slo; wal; inject; reload_requested; tick_requested }
   in
   let doc =
     "Long-running extraction service: NDJSON requests on stdin \
@@ -1713,14 +924,13 @@ let dict_group_cmd =
     in
     let run sim wal_path index_path =
       guard @@ fun () ->
-      let _dict, index = Ix.Codec.load index_path in
-      let d = Ix.Delta.create index in
-      let n, tail =
-        Wal.replay wal_path (function
-          | Wal.Add raw -> ignore (Ix.Delta.add d raw : Ix.Delta.add_result)
-          | Wal.Remove raw ->
-              ignore (Ix.Delta.remove d raw : Ix.Delta.remove_result))
+      let replayed = ref (0, Wal.Clean) in
+      let live =
+        Faerie_core.Live_dict.create ~sim
+          ~replay:(fun apply -> replayed := Wal.replay wal_path apply)
+          (snd (Ix.Codec.load index_path))
       in
+      let n, tail = !replayed in
       (match tail with
       | Wal.Torn { at; len } ->
           Printf.eprintf
@@ -1734,12 +944,13 @@ let dict_group_cmd =
         0
       end
       else begin
-        let p = Problem.of_index ~sim (Ix.Delta.compact d) in
+        let p = Faerie_core.Live_dict.fold live in
         Ix.Codec.save (Problem.dictionary p) (Problem.index p) index_path;
         let w = Wal.openfile wal_path in
         Fun.protect ~finally:(fun () -> Wal.close w) (fun () -> Wal.truncate w);
         Printf.printf "folded %d mutation(s) into %s (%d entities)\n" n
-          index_path (Ix.Delta.live_count d);
+          index_path
+          (Faerie_core.Live_dict.live_count live);
         0
       end
     in

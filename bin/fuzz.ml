@@ -616,10 +616,8 @@ let run_cluster_campaign iterations seed =
                            (Outcome.error_to_string err)
                            shards)
                 | Outcome.Ok got, Outcome.Ok want ->
-                    (* The merged set is span-sorted; sort the baseline the
-                       same way before comparing. *)
-                    if List.sort compare got <> List.sort compare want
-                    then begin
+                    (* Both sides list matches in the one served order. *)
+                    if got <> want then begin
                       incr problems;
                       dump_repro ~seed ~iteration:i inst
                         ~trouble:
@@ -649,12 +647,12 @@ let run_cluster_campaign iterations seed =
      quarantines, %d partial documents\n"
     !restarts !qpairs !shard_quarantined !partials;
   (* Every dead-letter line — written by coordinator and shard processes
-     alike through single-write O_APPEND — must be a complete, parseable,
+     alike through Append_log — must be a complete, parseable,
      self-contained record, and every *counted* write-off must have a
      line. The file may hold more lines than the totals: in-shard
      quarantine counts travel in the shard's Bye reply, so an incarnation
      killed after appending its record but before saying Bye leaves a
-     durable (and replayable) line the totals never see. The O_APPEND
+     durable (and replayable) line the totals never see. The appended
      record outliving its process is the point; the count is best-effort. *)
   let lines = ref [] in
   let ic = open_in quarantine in
@@ -959,11 +957,7 @@ let read_lines path =
    flag, i.e. the generation --dict holds) is refused with an error
    rather than replayed against the wrong dictionary. *)
 let run_replay ~replay_file ~dict_file ~expected_gen =
-  let entities =
-    List.filter_map
-      (fun l -> match String.trim l with "" -> None | e -> Some e)
-      (read_lines dict_file)
-  in
+  let entities = Problem.read_entities dict_file in
   let records = read_lines replay_file in
   let failures = ref 0 in
   (* Generation gate: a record captured under a different dictionary

@@ -137,14 +137,6 @@ type t = {
 
 let generation t = t.generation
 
-let span_compare (a : Types.char_match) (b : Types.char_match) =
-  match compare a.Types.c_start b.Types.c_start with
-  | 0 -> (
-      match compare a.Types.c_len b.Types.c_len with
-      | 0 -> compare a.Types.c_entity b.Types.c_entity
-      | c -> c)
-  | c -> c
-
 let deadline_in_ms ms =
   Int64.add (Trace.now_ns ()) (Int64.of_int (ms * 1_000_000))
 
@@ -185,25 +177,15 @@ let shard_main ~(config : config) ~sid ~gen0 ~sim ~snapshot ~rfd ~wfd =
      breakdowns in Result frames. *)
   Build_info.note ();
   if config.slow_stages then Slowlog.arm_stages ();
-  (* Each snapshot load wraps the frozen index in a Delta so routed
-     dict_add/dict_remove frames can mutate this shard's slice online.
-     Delta.view is copy-on-write, so worker domains keep extracting
-     against the extractor they grabbed while we publish a new one. *)
-  let load path =
-    let _, index = Ix.Codec.load path in
-    let delta = Ix.Delta.create index in
-    let ex = Extractor.of_problem (Problem.of_index ~sim (Ix.Delta.view delta)) in
-    (delta, ex)
-  in
-  let delta0, ex0 = load snapshot in
-  let delta_ref = ref delta0 in
-  let ex_ref = Atomic.make ex0 in
-  let gen_ref = ref gen0 in
+  (* Each snapshot load is a live dictionary cell, so routed
+     dict_add/dict_remove frames can mutate this shard's slice online. *)
+  let load ~gen path = Live_dict.create ~gen ~sim (snd (Ix.Codec.load path)) in
+  let live = load ~gen:gen0 snapshot in
   let pending = ref None in
   let pool =
     Supervisor.create
       ~config:{ config.pool with Supervisor.shard = Some sid }
-      (fun () -> Atomic.get ex_ref)
+      (fun () -> Live_dict.extractor live)
   in
   Supervisor.note_generation pool gen0;
   let wlock = Mutex.create () in
@@ -276,22 +258,17 @@ let shard_main ~(config : config) ~sid ~gen0 ~sim ~snapshot ~rfd ~wfd =
                    let stages =
                      if not config.slow_stages then []
                      else
-                       match Slowlog.last_doc () with
-                       | Some d ->
-                           List.init Slowlog.n_stages (fun i ->
-                               (Slowlog.stage_name i, d.Slowlog.stages_ns.(i)))
-                       | None -> []
+                       Option.fold ~none:[] ~some:Slowlog.stages
+                         (Slowlog.last_doc ())
                    in
-                   try
-                     send
-                       (Shard.Result
-                          { doc; gen = !gen_ref; outcome; spans; stages })
+                   let gen = Live_dict.generation live in
+                   try send (Shard.Result { doc; gen; outcome; spans; stages })
                    with _ -> ()));
             loop ()
         | Ok (Shard.Prepare { gen; path }) ->
-            (match load path with
-            | delta, ex ->
-                pending := Some (gen, delta, ex);
+            (match load ~gen path with
+            | next ->
+                pending := Some next;
                 send (Shard.Prepared { gen })
             | exception e ->
                 let error =
@@ -306,10 +283,8 @@ let shard_main ~(config : config) ~sid ~gen0 ~sim ~snapshot ~rfd ~wfd =
             loop ()
         | Ok (Shard.Commit { gen }) ->
             (match !pending with
-            | Some (g, delta, ex) when g = gen ->
-                delta_ref := delta;
-                Atomic.set ex_ref ex;
-                gen_ref := gen;
+            | Some next when Live_dict.generation next = gen ->
+                Live_dict.adopt live next;
                 Supervisor.note_generation pool gen;
                 pending := None;
                 send (Shard.Committed { gen })
@@ -327,32 +302,8 @@ let shard_main ~(config : config) ~sid ~gen0 ~sim ~snapshot ~rfd ~wfd =
             pending := None;
             send (Shard.Aborted { gen });
             loop ()
-        | Ok (Shard.Dict_add { raw }) ->
-            let delta = !delta_ref in
-            let entity, applied =
-              match Ix.Delta.add delta raw with
-              | Ix.Delta.Added id -> (id, true)
-              | Ix.Delta.Exists id -> (id, false)
-            in
-            if applied then
-              Atomic.set ex_ref
-                (Extractor.of_problem
-                   (Problem.of_index ~sim (Ix.Delta.view delta)));
-            send (Shard.Mutated { gen = !gen_ref; entity; applied });
-            loop ()
-        | Ok (Shard.Dict_remove { raw }) ->
-            let delta = !delta_ref in
-            let entity, applied =
-              match Ix.Delta.remove delta raw with
-              | Ix.Delta.Removed id -> (id, true)
-              | Ix.Delta.Absent -> (-1, false)
-            in
-            if applied then
-              Atomic.set ex_ref
-                (Extractor.of_problem
-                   (Problem.of_index ~sim (Ix.Delta.view delta)));
-            send (Shard.Mutated { gen = !gen_ref; entity; applied });
-            loop ()
+        | Ok (Shard.Dict_add { raw }) -> mutate (Faerie_util.Wal.Add raw)
+        | Ok (Shard.Dict_remove { raw }) -> mutate (Faerie_util.Wal.Remove raw)
         | Ok Shard.Stats_req ->
             (* Same crash-boundary convention as shard_frame: an injection
                here kills the shard process mid-stats, which the
@@ -371,6 +322,10 @@ let shard_main ~(config : config) ~sid ~gen0 ~sim ~snapshot ~rfd ~wfd =
             send
               (Shard.Bye
                  { restarts = Supervisor.worker_restarts pool; quarantined }))
+  and mutate op =
+    let applied, entity = Live_dict.apply live op in
+    send (Shard.Mutated { gen = Live_dict.generation live; entity; applied });
+    loop ()
   in
   loop ()
 
@@ -928,7 +883,7 @@ let submit t ?id ?timeout_ms ?stages_out ~doc text =
   if !usable = [] then
     Outcome.Failed (match List.rev !errors with e :: _ -> e | [] -> assert false)
   else begin
-    let ms = List.sort span_compare (List.concat (List.rev !usable)) in
+    let ms = List.sort Types.compare_span (List.concat (List.rev !usable)) in
     match List.rev !missing with
     | [] -> (
         match !first_deg with

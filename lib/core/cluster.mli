@@ -41,7 +41,7 @@ type config = {
   pool : Supervisor.config;
       (** per-shard worker pool; [pool.quarantine] names the shared
           dead-letter file that shards and the coordinator all append to
-          (safe: single-[write] O_APPEND records), and [pool.shard] is
+          (safe: whole {!Faerie_obs.Append_log} records), and [pool.shard] is
           overridden per shard *)
   retry : Supervisor.retry;
       (** coordinator policy: per-document cross-shard retries and the

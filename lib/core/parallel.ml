@@ -23,7 +23,7 @@ let char_match_of_result (r : Extractor.result) =
   }
 
 let outcome_of_report (r : Extractor.report) : outcome =
-  let conv rs = List.sort compare_char_match (List.map char_match_of_result rs) in
+  let conv rs = List.sort compare_span (List.map char_match_of_result rs) in
   match r.Extractor.outcome with
   | Outcome.Ok rs -> Outcome.Ok (conv rs)
   | Outcome.Degraded (rs, why) -> Outcome.Degraded (conv rs, why)

@@ -18,9 +18,10 @@
 type outcome = Types.char_match list Outcome.t
 
 val outcome_of_report : Extractor.report -> outcome
-(** Project an {!Extractor.report} down to its outcome, discarding stats.
-    Shared with {!Supervisor}, which re-runs [Extractor.run] per retry
-    attempt and needs the same projection. *)
+(** Project an {!Extractor.report} down to its outcome, discarding stats;
+    matches come in {!Types.compare_span} order, as a {!Cluster} merge
+    lists them. Shared with {!Supervisor}, which re-runs [Extractor.run]
+    per retry attempt and needs the same projection. *)
 
 val extract_one_outcome :
   ?pruning:Types.pruning ->

@@ -159,3 +159,22 @@ let verify_span ?verifier t doc ~entity ~start ~len =
 let verify_candidate ?verifier t doc (c : Types.candidate) =
   verify_span ?verifier t doc ~entity:c.Types.entity ~start:c.Types.start
     ~len:c.Types.len
+
+let read_entities path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let rec loop acc =
+        match input_line ic with
+        | line ->
+            loop (if String.trim line = "" then acc else String.trim line :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      loop [])
+
+let load ~sim ~q ~dict ~index =
+  match (index, dict) with
+  | Some path, _ -> of_index ~sim (snd (Faerie_index.Codec.load path))
+  | None, Some path -> create ~sim ~q (read_entities path)
+  | None, None -> invalid_arg "Problem.load: a dictionary or an index is required"

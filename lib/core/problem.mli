@@ -100,3 +100,13 @@ val verify_candidate :
   Types.candidate ->
   Faerie_sim.Verify.Score.t
 (** {!verify_span} on a {!Types.candidate}. *)
+
+val read_entities : string -> string list
+(** The entities of a dictionary file: one per line, trimmed, blank lines
+    skipped. @raise Sys_error if the file cannot be read. *)
+
+val load :
+  sim:Faerie_sim.Sim.t -> q:int -> dict:string option -> index:string option -> t
+(** The problem over a saved index when [index] is given, else over the
+    dictionary file [dict] (see {!read_entities}).
+    @raise Invalid_argument when neither is given. *)

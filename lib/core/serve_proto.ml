@@ -502,20 +502,14 @@ let slo_suffix = function
   | None -> ""
   | Some slo -> Printf.sprintf ",\"slo\":%s" slo
 
-let summary_json ?metrics ?slo ~reloads s =
+let summary_json ?metrics ?slo ?(counts = []) ~reloads s =
   let base = Outcome.summary_to_json s in
-  (* [summary_to_json] always ends in '}'; splice the reload count in. *)
-  Printf.sprintf "%s,\"reloads\":%d%s%s}"
+  (* [summary_to_json] always ends in '}'; splice the extra fields in. *)
+  Printf.sprintf "%s,\"reloads\":%d%s%s%s}"
     (String.sub base 0 (String.length base - 1))
-    reloads (slo_suffix slo) (metrics_suffix metrics)
-
-let cluster_summary_json ?metrics ?slo ~reloads ~shards ~shard_restarts
-    ~shard_timeouts ~docs_partial ~quarantined_pairs s =
-  let base = Outcome.summary_to_json s in
-  Printf.sprintf
-    "%s,\"reloads\":%d,\"shards\":%d,\"shard_restarts\":%d,\"shard_timeouts\":%d,\"docs_partial\":%d,\"quarantined_pairs\":%d%s%s}"
-    (String.sub base 0 (String.length base - 1))
-    reloads shards shard_restarts shard_timeouts docs_partial quarantined_pairs
+    reloads
+    (String.concat ""
+       (List.map (fun (k, v) -> Printf.sprintf ",\"%s\":%d" k v) counts))
     (slo_suffix slo) (metrics_suffix metrics)
 
 (* ---- trace span codec (cluster internal frames) ---- *)

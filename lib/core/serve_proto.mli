@@ -60,33 +60,19 @@ val response_json :
 val summary_json :
   ?metrics:Faerie_obs.Metrics.snapshot ->
   ?slo:string ->
+  ?counts:(string * int) list ->
   reloads:int ->
   Outcome.summary ->
   string
 (** Final stderr line: {!Outcome.summary_to_json} extended with the
-    hot-reload count, and — when [metrics] is given — a trailing
-    ["metrics"] object in the {!snapshot_json} display schema so smoke
-    jobs can assert counters straight off the summary. [slo] is a
-    pre-rendered {!Faerie_obs.Slo.to_json} assessment spliced in as an
-    ["slo"] object. *)
-
-val cluster_summary_json :
-  ?metrics:Faerie_obs.Metrics.snapshot ->
-  ?slo:string ->
-  reloads:int ->
-  shards:int ->
-  shard_restarts:int ->
-  shard_timeouts:int ->
-  docs_partial:int ->
-  quarantined_pairs:int ->
-  Outcome.summary ->
-  string
-(** Final stderr line of a [--shards N] server: {!summary_json} further
-    extended with cluster accounting (shard processes restarted, per-shard
-    deadline misses, documents that degraded to
-    {!Outcome.degradation.Shard_partial}, and (doc, shard) pairs written
-    to the dead-letter file). [metrics] as in {!summary_json} (there it is
-    the cluster-merged snapshot). *)
+    hot-reload count, then [counts] in order (a sharded server's
+    [shards], [shard_restarts], [shard_timeouts], [docs_partial] and
+    [quarantined_pairs]), and — when [metrics] is given — a trailing
+    ["metrics"] object in the {!snapshot_json} display schema (the
+    cluster-merged snapshot when sharded) so smoke jobs can assert
+    counters straight off the summary. [slo] is a pre-rendered
+    {!Faerie_obs.Slo.to_json} assessment spliced in as an ["slo"]
+    object. *)
 
 (** {1 Metrics snapshot codec}
 

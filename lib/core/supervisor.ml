@@ -243,36 +243,15 @@ module Quarantine = struct
             gen; text;
           })
 
-  (* Dead-letter sink: O_APPEND plus a single [write] per record, so the
-     coordinator and N shard processes appending to the same file can never
-     interleave bytes of two records. The mutex only serializes appenders
-     within one process; cross-process atomicity comes from O_APPEND. *)
-  type sink = { fd : Unix.file_descr; s_lock : Mutex.t }
+  (* Dead-letter sink: the coordinator and N shard processes append to
+     one file, each record one whole {!Faerie_obs.Append_log} line. *)
+  type sink = Faerie_obs.Append_log.t
 
-  let open_sink path =
-    {
-      fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644;
-      s_lock = Mutex.create ();
-    }
+  let open_sink = Faerie_obs.Append_log.openfile
 
-  let append sink r =
-    let line = Bytes.of_string (to_json r ^ "\n") in
-    let n = Bytes.length line in
-    Mutex.lock sink.s_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock sink.s_lock)
-      (fun () ->
-        (* A pipe-or-regular-file write of a full record is atomic under
-           O_APPEND; loop only on the (theoretical) short-write case. *)
-        let rec go off =
-          if off < n then
-            match Unix.write sink.fd line off (n - off) with
-            | written -> go (off + written)
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-        in
-        go 0)
+  let append sink r = Faerie_obs.Append_log.append sink (to_json r ^ "\n")
 
-  let close_sink sink = try Unix.close sink.fd with Unix.Unix_error _ -> ()
+  let close_sink = Faerie_obs.Append_log.close
 end
 
 type job = {

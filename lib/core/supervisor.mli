@@ -121,10 +121,10 @@ module Quarantine : sig
 
   (** {2 Dead-letter sink}
 
-      The file is opened with [O_APPEND] and every record is emitted with a
-      single [write(2)], so any number of processes (cluster coordinator
-      plus shard children) appending to the same dead-letter file produce
-      whole, never-interleaved NDJSON lines. *)
+      Every record is one {!Faerie_obs.Append_log} append, so any number
+      of processes (cluster coordinator plus shard children) appending to
+      the same dead-letter file produce whole, never-interleaved NDJSON
+      lines, however long the document text. *)
 
   type sink
 

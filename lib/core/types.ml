@@ -31,6 +31,13 @@ let compare_char_match a b =
     let c = compare a.c_start b.c_start in
     if c <> 0 then c else compare a.c_len b.c_len
 
+let compare_span a b =
+  let c = compare a.c_start b.c_start in
+  if c <> 0 then c
+  else
+    let c = compare a.c_len b.c_len in
+    if c <> 0 then c else compare a.c_entity b.c_entity
+
 type stats = {
   mutable entities_seen : int;
   mutable entities_pruned_lazy : int;

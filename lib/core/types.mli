@@ -40,6 +40,11 @@ type char_match = {
     align to gram positions). *)
 
 val compare_char_match : char_match -> char_match -> int
+(** (entity, start, len): the order of the internal dedup sorts. *)
+
+val compare_span : char_match -> char_match -> int
+(** (start, len, entity): the one order served responses list their
+    matches in, whatever the shard count. *)
 
 type stats = {
   mutable entities_seen : int;

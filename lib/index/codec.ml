@@ -23,9 +23,10 @@ let m_truncated =
 
 let magic = "FAERIEIX"
 
-(* v1 stored each posting list as bare delta varints; v2 stores the index's
-   compressed blocks verbatim — per token [(count, nbytes, block bytes)] —
-   so load adopts validated blocks without re-encoding. v1 is still read. *)
+(* v2 stores the index's compressed blocks verbatim — per token
+   [(count, nbytes, block bytes)] — so load adopts validated blocks without
+   re-encoding. v1 (bare delta varints per list) is no longer read: no
+   build has written it since the blocks arrived. *)
 let version = 2
 
 let encode dict index =
@@ -94,7 +95,7 @@ let decode data =
     in
     Varint.expect r magic;
     let v = Varint.read r in
-    if v <> 1 && v <> 2 then fail (Printf.sprintf "unsupported version %d" v);
+    if v <> version then fail (Printf.sprintf "unsupported version %d" v);
     let mode =
       match Varint.read r with
       | 0 ->
@@ -127,66 +128,46 @@ let decode data =
     in
     let n_lists = Varint.read r in
     if n_lists <> n_tokens then fail "postings/token count mismatch";
-    let make_index =
-      if v = 1 then begin
-        let lists =
-          Array.init n_lists (fun _ ->
-              let n = Varint.read r in
-              check_count "postings" n;
-              let prev = ref 0 in
-              Array.init n (fun i ->
-                  let delta = Varint.read r in
-                  if i > 0 && delta = 0 then fail "non-ascending postings";
-                  prev := !prev + delta;
-                  if !prev >= n_entities then fail "entity id out of range";
-                  !prev))
-        in
-        fun dict -> Inverted_index.of_stored dict lists
-      end
-      else begin
-        (* v2: every block is fully validated here — ascending ids in
-           range, exactly [nbytes] consumed — then adopted verbatim, so
-           {!Inverted_index} may decode it unchecked later. *)
-        let blob = Buffer.create 4096 in
-        let offs = Array.make (n_lists + 1) 0 in
-        let counts = Array.make n_lists 0 in
-        for tok = 0 to n_lists - 1 do
-          offs.(tok) <- Buffer.length blob;
-          let count = Varint.read r in
-          check_count "postings" count;
-          let nbytes = Varint.read r in
-          if nbytes > String.length data - Varint.pos r then begin
-            (* A block length pointing past the input is the torn-write
-               signature, same as running out of bytes mid-varint. *)
-            Metrics.incr m_truncated;
-            raise (Truncated { at = Varint.pos r; len = String.length data })
-          end;
-          if count > nbytes then fail "postings count exceeds block";
-          let block_start = Varint.pos r in
-          let prev = ref 0 in
-          for i = 0 to count - 1 do
-            let delta = Varint.read r in
-            if i > 0 && delta = 0 then fail "non-ascending postings";
-            prev := !prev + delta;
-            if !prev >= n_entities then fail "entity id out of range"
-          done;
-          if Varint.pos r - block_start <> nbytes then
-            fail "postings block length mismatch";
-          counts.(tok) <- count;
-          Buffer.add_substring blob data block_start nbytes
-        done;
-        offs.(n_lists) <- Buffer.length blob;
-        let blob = Buffer.contents blob in
-        fun dict -> Inverted_index.of_blocks dict ~blob ~offs ~counts
-      end
-    in
+    (* Every block is fully validated here — ascending ids in range,
+       exactly [nbytes] consumed — then adopted verbatim, so
+       {!Inverted_index} may decode it unchecked later. *)
+    let blob = Buffer.create 4096 in
+    let offs = Array.make (n_lists + 1) 0 in
+    let counts = Array.make n_lists 0 in
+    for tok = 0 to n_lists - 1 do
+      offs.(tok) <- Buffer.length blob;
+      let count = Varint.read r in
+      check_count "postings" count;
+      let nbytes = Varint.read r in
+      if nbytes > String.length data - Varint.pos r then begin
+        (* A block length pointing past the input is the torn-write
+           signature, same as running out of bytes mid-varint. *)
+        Metrics.incr m_truncated;
+        raise (Truncated { at = Varint.pos r; len = String.length data })
+      end;
+      if count > nbytes then fail "postings count exceeds block";
+      let block_start = Varint.pos r in
+      let prev = ref 0 in
+      for i = 0 to count - 1 do
+        let delta = Varint.read r in
+        if i > 0 && delta = 0 then fail "non-ascending postings";
+        prev := !prev + delta;
+        if !prev >= n_entities then fail "entity id out of range"
+      done;
+      if Varint.pos r - block_start <> nbytes then
+        fail "postings block length mismatch";
+      counts.(tok) <- count;
+      Buffer.add_substring blob data block_start nbytes
+    done;
+    offs.(n_lists) <- Buffer.length blob;
+    let blob = Buffer.contents blob in
     let payload_end = Varint.pos r in
     let checksum = Varint.read r in
     if not (Varint.at_end r) then fail "trailing bytes";
     if checksum <> Varint.fnv1a (String.sub data 0 payload_end) then
       fail "checksum mismatch";
     let dict = Dictionary.of_stored ~mode ~interner entities in
-    (dict, make_index dict)
+    (dict, Inverted_index.of_blocks dict ~blob ~offs ~counts)
   with Varint.Malformed msg ->
     (* [Varint] prefixes every ran-out-of-bytes message with "truncated";
        everything else (bad magic, malformed varint byte) is corruption.

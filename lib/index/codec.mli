@@ -7,11 +7,12 @@
     Format (all integers LEB128 varints, {!Faerie_util.Varint}):
 
     {v
-    "FAERIEIX" version          magic + format version (1)
+    "FAERIEIX" version          magic + format version (2; others are Corrupt)
     mode q                      0 = word tokens, 1 = q-grams
     n_tokens,  strings...       interner contents, in id order
     n_entities, raw + tokens... per entity: raw string + token ids
-    n_lists,   count + deltas.. postings: delta-coded ascending entity ids
+    n_lists, (count nbytes block)...
+                                postings: per token, its delta+varint block
     checksum                    FNV-1a-style hash of everything before it
     v} *)
 

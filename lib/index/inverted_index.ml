@@ -126,31 +126,13 @@ let decode_into blob ~off ~stop ~dst ~dst_off =
   done;
   !i - dst_off
 
-let encode_lists dictionary lists =
-  let n_tokens = Array.length lists in
-  let buf = Buffer.create 4096 in
-  let offs = Array.make (n_tokens + 1) 0 in
-  let counts = Array.make n_tokens 0 in
-  let n_postings = ref 0 in
-  for tok = 0 to n_tokens - 1 do
-    offs.(tok) <- Buffer.length buf;
-    let ids = lists.(tok) in
-    let prev = ref 0 in
-    Array.iter
-      (fun id ->
-        Varint.write buf (id - !prev);
-        prev := id)
-      ids;
-    counts.(tok) <- Array.length ids;
-    n_postings := !n_postings + Array.length ids
-  done;
-  offs.(n_tokens) <- Buffer.length buf;
+let of_blocks dictionary ~blob ~offs ~counts =
   {
     dictionary;
-    blob = Buffer.contents buf;
+    blob;
     offs;
     counts;
-    n_postings = !n_postings;
+    n_postings = Array.fold_left ( + ) 0 counts;
     overlay = None;
   }
 
@@ -163,19 +145,21 @@ let build dictionary =
         (fun token -> Dynarray.push acc.(token) e.Entity.id)
         e.Entity.distinct_tokens)
     (Dictionary.entities dictionary);
-  encode_lists dictionary (Array.map Dynarray.to_array acc)
-
-let of_stored dictionary lists = encode_lists dictionary lists
-
-let of_blocks dictionary ~blob ~offs ~counts =
-  {
-    dictionary;
-    blob;
-    offs;
-    counts;
-    n_postings = Array.fold_left ( + ) 0 counts;
-    overlay = None;
-  }
+  let buf = Buffer.create 4096 in
+  let offs = Array.make (n_tokens + 1) 0 in
+  let counts = Array.make n_tokens 0 in
+  for tok = 0 to n_tokens - 1 do
+    offs.(tok) <- Buffer.length buf;
+    let prev = ref 0 in
+    Dynarray.iter
+      (fun id ->
+        Varint.write buf (id - !prev);
+        prev := id)
+      acc.(tok);
+    counts.(tok) <- Dynarray.length acc.(tok)
+  done;
+  offs.(n_tokens) <- Buffer.length buf;
+  of_blocks dictionary ~blob:(Buffer.contents buf) ~offs ~counts
 
 let of_overlay base ~dictionary ~adds ~dead ~dead_counts =
   if base.overlay <> None then

@@ -33,13 +33,9 @@ val build : Dictionary.t -> t
 (** Lists come out sorted for free because entities are scanned in id
     order, then each list is delta+varint encoded. *)
 
-val of_stored : Dictionary.t -> int array array -> t
-(** Reassemble from plain postings (one ascending entity-id array per token
-    id) — the v1 codec path; re-encodes into compressed blocks. *)
-
 val of_blocks :
   Dictionary.t -> blob:string -> offs:int array -> counts:int array -> t
-(** Adopt already-encoded blocks (the v2 codec path): token [i]'s block is
+(** Adopt already-encoded blocks (the codec's load path): token [i]'s block is
     [blob[offs.(i) .. offs.(i+1))] holding [counts.(i)] ids. The blocks must
     have been validated — decoding trusts them. *)
 

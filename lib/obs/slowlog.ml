@@ -13,9 +13,9 @@
      write-through of every request over the slow threshold. Records are
      pre-rendered NDJSON lines (the serve layer owns the schema — this
      module must not depend on lib/core); over-threshold lines are
-     appended to the sink immediately with the same O_APPEND +
-     single-write(2) discipline as Supervisor.Quarantine, and the
-     below-threshold top-K remainder is flushed at disarm. *)
+     appended to the sink immediately as whole {!Append_log} records, as
+     Supervisor.Quarantine does, and the below-threshold top-K remainder
+     is flushed at disarm. *)
 
 let n_stages = 4
 
@@ -26,7 +26,7 @@ let stage_name i = stage_names.(i)
 type config = {
   slow_ns : float;  (* write-through threshold; infinity = ring-only *)
   capacity : int;
-  sink : Unix.file_descr option;
+  sink : Append_log.t option;
   stages_only : bool;  (* shard mode: stage scratch armed, no ring *)
 }
 
@@ -76,6 +76,8 @@ let doc_end ~wall_ns ~trace =
 
 type doc = { wall_ns : float; trace : int; stages_ns : float array }
 
+let stages d = List.init n_stages (fun i -> (stage_names.(i), d.stages_ns.(i)))
+
 let last_doc () =
   let s = Domain.DLS.get scratch_key in
   if not s.live then None
@@ -91,11 +93,7 @@ let ring : entry list ref = ref [] (* unordered; capacity is small *)
 
 let n_total = ref 0
 
-let write_line fd line =
-  (* One write(2) per record: O_APPEND makes concurrent appends atomic
-     for sane record sizes (same discipline as Quarantine.sink). *)
-  let payload = Bytes.of_string (line ^ "\n") in
-  ignore (Unix.write fd payload 0 (Bytes.length payload))
+let write_line sink line = Append_log.append sink (line ^ "\n")
 
 let ring_min () =
   List.fold_left (fun acc e -> Float.min acc e.e_wall_ns) Float.infinity !ring
@@ -123,7 +121,7 @@ let capture ~wall_ns line =
       Atomic.incr n_captures;
       let written =
         if wall_ns >= c.slow_ns then (
-          (match c.sink with Some fd -> write_line fd line | None -> ());
+          (match c.sink with Some s -> write_line s line | None -> ());
           true)
         else false
       in
@@ -166,7 +164,7 @@ let total () =
    (the below-threshold tail of the top-K), slowest first. *)
 let flush () =
   match Atomic.get state with
-  | Some { sink = Some fd; _ } ->
+  | Some { sink = Some s; _ } ->
       Mutex.lock ring_lock;
       let pending =
         List.filter (fun e -> not e.e_written) !ring
@@ -174,13 +172,13 @@ let flush () =
       in
       List.iter (fun e -> e.e_written <- true) pending;
       Mutex.unlock ring_lock;
-      List.iter (fun e -> write_line fd e.e_line) pending
+      List.iter (fun e -> write_line s e.e_line) pending
   | _ -> ()
 
 let disarm () =
   flush ();
   (match Atomic.get state with
-  | Some { sink = Some fd; _ } -> ( try Unix.close fd with Unix.Unix_error _ -> ())
+  | Some { sink = Some s; _ } -> Append_log.close s
   | _ -> ());
   Atomic.set state None;
   Mutex.lock ring_lock;
@@ -193,8 +191,7 @@ let configure ?(capacity = 8) ?slow_ms ?path () =
   let sink =
     match path with
     | None -> None
-    | Some p ->
-        Some (Unix.openfile p [ Unix.O_WRONLY; O_CREAT; O_APPEND ] 0o644)
+    | Some p -> Some (Append_log.openfile p)
   in
   let slow_ns =
     match slow_ms with Some ms -> ms *. 1e6 | None -> Float.infinity
@@ -208,8 +205,7 @@ let arm_stages () =
      here would duplicate the coordinator's records into the shared
      O_APPEND file) and close only our copy of the descriptor. *)
   (match Atomic.get state with
-  | Some { sink = Some fd; _ } -> (
-      try Unix.close fd with Unix.Unix_error _ -> ())
+  | Some { sink = Some s; _ } -> Append_log.close s
   | _ -> ());
   Mutex.lock ring_lock;
   ring := [];

@@ -3,8 +3,8 @@
     Armed by [faerie serve --slow-ms T] / [--slowlog FILE]: keeps a
     bounded ring of the K slowest requests seen so far and writes every
     request over the threshold through to an NDJSON sink immediately
-    (O_APPEND, one write(2) per record — the [Supervisor.Quarantine]
-    sink discipline). Records are pre-rendered lines: the serve layer
+    (one whole {!Append_log} record each, like the [Supervisor.Quarantine]
+    sink). Records are pre-rendered lines: the serve layer
     owns the record schema, this module owns retention and the sink.
 
     When armed, [Prof.with_stage] brackets also feed per-stage wall time
@@ -65,6 +65,9 @@ val n_stages : int
 
 val stage_name : int -> string
 (** Prof stage names: tokenize, heap_merge, windows, verify. *)
+
+val stages : doc -> (string * float) list
+(** [doc]'s per-stage wall ns, named, in stage order. *)
 
 (** {1 Capture ring} — called on the serve layer. *)
 

@@ -1,4 +1,5 @@
 module Metrics = Faerie_obs.Metrics
+module Append_log = Faerie_obs.Append_log
 
 exception Corrupt of string
 
@@ -8,7 +9,7 @@ type op = Add of string | Remove of string
 
 type tail = Clean | Torn of { at : int; len : int }
 
-type t = { path : string; fd : Unix.file_descr; mutable seq : int }
+type t = { path : string; log : Append_log.t; mutable seq : int }
 
 let m_wal_replays = Metrics.counter "wal_replays"
 
@@ -19,9 +20,9 @@ let m_wal_replays = Metrics.counter "wal_replays"
      [varint payload-len] [payload] [varint fnv1a(payload)]
 
    where payload is a one-byte opcode ('A' = add, 'R' = remove) followed
-   by the raw entity string. Each record is emitted with a single
-   O_APPEND write(2) followed by fsync, so a crash leaves the file equal
-   to a whole-record prefix plus at most one torn tail — never an
+   by the raw entity string. Each record is one locked {!Append_log}
+   append followed by fsync, so a crash leaves the file equal to a
+   whole-record prefix plus at most one torn tail — never an
    interleaving. The parser exploits that shape: running out of bytes
    mid-record is {!Torn} (normal after a crash), while a structurally
    complete record that fails its checksum can only come from real
@@ -96,11 +97,7 @@ let parse data =
 
 (* ---- file handle ---- *)
 
-let openfile path =
-  let fd =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
-  in
-  { path; fd; seq = 0 }
+let openfile path = { path; log = Append_log.openfile path; seq = 0 }
 
 let path t = t.path
 
@@ -111,38 +108,19 @@ let append t op =
      crash before the record is durable, so the mutation must be rejected
      (never acked, never applied in memory). *)
   Fault.with_context seq (fun () -> Fault.site "wal_append");
-  let rec_bytes = encode op in
-  let len = String.length rec_bytes in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write_substring t.fd rec_bytes !off (len - !off)
-  done;
-  Unix.fsync t.fd
+  Append_log.append ~fsync:true t.log (encode op)
 
 let truncate t =
-  Unix.ftruncate t.fd 0;
-  Unix.fsync t.fd;
+  Append_log.truncate t.log;
   t.seq <- 0
 
-let close t = Unix.close t.fd
+let close t = Append_log.close t.log
 
 (* ---- recovery ---- *)
 
 let read_all path =
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ""
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          let len = (Unix.fstat fd).Unix.st_size in
-          let b = Bytes.create len in
-          let off = ref 0 and eof = ref false in
-          while !off < len && not !eof do
-            let n = Unix.read fd b !off (len - !off) in
-            if n = 0 then eof := true else off := !off + n
-          done;
-          Bytes.sub_string b 0 !off)
+  if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all
+  else ""
 
 let replay ?(strict = false) path f =
   let ops, tail = parse (read_all path) in

@@ -1,8 +1,8 @@
 (** Crash-safe write-ahead log for dictionary mutations.
 
-    Each mutation is one length-prefixed, checksummed record written with a
-    single [O_APPEND] write(2) + fsync, so after a crash the file is always
-    a whole-record prefix plus at most one torn tail. Recovery mirrors
+    Each mutation is one length-prefixed, checksummed record written as one
+    {!Faerie_obs.Append_log} append + fsync, so after a crash the file is
+    always a whole-record prefix plus at most one torn tail. Recovery mirrors
     {!Faerie_index.Codec.load}'s taxonomy: a record cut short by the crash
     is {e truncated} (expected; the whole-record prefix is recovered and
     the tail can be trimmed), while a structurally complete record with a
@@ -36,10 +36,10 @@ val openfile : string -> t
 val path : t -> string
 
 val append : t -> op -> unit
-(** Durably append one record: single [O_APPEND] write + fsync. Fires the
-    ["wal_append"] fault site {e before} writing — an injection models a
-    crash before the record reaches disk, so the mutation must be rejected
-    by the caller, never half-applied.
+(** Durably append one record: one {!Faerie_obs.Append_log} append +
+    fsync. Fires the ["wal_append"] fault site {e before} writing — an
+    injection models a crash before the record reaches disk, so the
+    mutation must be rejected by the caller, never half-applied.
 
     @raise Faerie_util.Fault.Injected when the site fires. *)
 

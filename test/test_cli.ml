@@ -489,6 +489,60 @@ let test_serve_ndjson_roundtrip () =
       check_bool "summary embeds a metrics object" true
         (has_match {|"metrics":{"counters":{|} err))
 
+(* One corpus served from one in-process pool and from a 2-shard cluster:
+   a single worker answers in arrival order, and both modes list matches
+   in the one served order, so stdout must be byte-identical. *)
+let test_serve_single_equals_sharded () =
+  with_temp_dir (fun dir ->
+      let corpus = Filename.concat dir "corpus" in
+      let status, _ =
+        run_cli [ "gen"; "--entities"; "300"; "--documents"; "60"; "-o"; corpus ]
+      in
+      check_int "gen exit 0" 0 (exit_code status);
+      let json_string s =
+        let b = Buffer.create (String.length s + 2) in
+        Buffer.add_char b '"';
+        String.iter
+          (function
+            | ('"' | '\\') as c ->
+                Buffer.add_char b '\\';
+                Buffer.add_char b c
+            | c when Char.code c < 0x20 ->
+                Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+            | c -> Buffer.add_char b c)
+          s;
+        Buffer.add_char b '"';
+        Buffer.contents b
+      in
+      let docs = Filename.concat corpus "docs" in
+      let input = Filename.concat dir "input.ndjson" in
+      write_file input
+        (String.concat ""
+           (List.map
+              (fun f ->
+                let text =
+                  In_channel.with_open_bin (Filename.concat docs f)
+                    In_channel.input_all
+                in
+                Printf.sprintf "{\"text\":%s}\n" (json_string text))
+              (List.sort compare (Array.to_list (Sys.readdir docs)))));
+      let serve extra =
+        let status, out, _ =
+          run_cli_io ~dir ~stdin_file:input
+            ([ "serve"; "-d"; Filename.concat corpus "entities.txt"; "-s";
+               "ed=2"; "-q"; "2"; "--domains"; "1" ]
+            @ extra)
+        in
+        check_int "serve exit 0" 0 (exit_code status);
+        out
+      in
+      let single = serve [] in
+      check_int "one response per document" 60 (List.length single);
+      check_bool "matches found" true (has_match {|"matches":\[{"e":|} single);
+      Alcotest.(check (list string))
+        "single-process stdout == 2-shard stdout" single
+        (serve [ "--shards"; "2" ]))
+
 (* Admin ops share the request stream but are answered from the live
    registry without consuming a document ordinal: responses interleave in
    order, the summary still counts exactly the extracted documents, and
@@ -864,6 +918,8 @@ let () =
             test_serve_admin_ops;
           Alcotest.test_case "periodic stats interval" `Quick
             test_serve_stats_interval;
+          Alcotest.test_case "single-process == sharded stdout" `Quick
+            test_serve_single_equals_sharded;
         ] );
       ( "mutation",
         [

@@ -179,19 +179,6 @@ let test_blocks_roundtrip () =
     Alcotest.(check (array int)) "list" (plist idx tok) (plist idx' tok)
   done
 
-let test_of_stored_roundtrip () =
-  let d = gram_dict () in
-  let idx = Inverted_index.build d in
-  let lists =
-    Array.init (Inverted_index.n_tokens idx) (fun tok -> plist idx tok)
-  in
-  let idx' = Inverted_index.of_stored d lists in
-  check_int "n_postings" (Inverted_index.n_postings idx)
-    (Inverted_index.n_postings idx');
-  for tok = 0 to Inverted_index.n_tokens idx - 1 do
-    Alcotest.(check (array int)) "list" (plist idx tok) (plist idx' tok)
-  done
-
 let test_heap_bytes_positive_and_grows () =
   let d1 = Dictionary.create ~mode:(Tk.Document.Gram 2) [ "abcd" ] in
   let d2 = gram_dict () in
@@ -275,7 +262,6 @@ let () =
           Alcotest.test_case "postings cursor" `Quick test_postings_cursor_agrees;
           Alcotest.test_case "decode document" `Quick test_decode_document;
           Alcotest.test_case "blocks roundtrip" `Quick test_blocks_roundtrip;
-          Alcotest.test_case "of_stored roundtrip" `Quick test_of_stored_roundtrip;
           Alcotest.test_case "heap bytes" `Quick test_heap_bytes_positive_and_grows;
           q prop_index_complete;
           q prop_blocks_roundtrip;

@@ -97,7 +97,7 @@ let test_codec_adversarial_counts () =
   let header mode_tag q =
     let b = Buffer.create 64 in
     Buffer.add_string b "FAERIEIX";
-    Varint.write b 1;
+    Varint.write b 2;
     Varint.write b mode_tag;
     Varint.write b q;
     b
@@ -136,9 +136,16 @@ let test_codec_adversarial_counts () =
   Varint.write b 0;
   Varint.write b 1;
   Varint.write b huge;
-  match Codec.decode (Buffer.contents b) with
+  (match Codec.decode (Buffer.contents b) with
   | _ -> Alcotest.fail "accepted huge postings count"
-  | exception Codec.Corrupt _ -> ()
+  | exception Codec.Corrupt _ -> ());
+  (* a version-1 header: that format is no longer read *)
+  let v1 = Bytes.of_string (encoded_index ()) in
+  Bytes.set v1 (String.length "FAERIEIX") '\001';
+  match Codec.decode (Bytes.to_string v1) with
+  | _ -> Alcotest.fail "accepted a version-1 header"
+  | exception Codec.Corrupt msg ->
+      Alcotest.(check string) "version refused" "unsupported version 1" msg
 
 let test_codec_roundtrip_still_ok () =
   let data = encoded_index () in
