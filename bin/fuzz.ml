@@ -814,29 +814,28 @@ let run_obs_campaign iterations seed =
   let rng = Xorshift.create (mix_seed seed 77) in
   for _ = 1 to iterations do
     let snap = random_snapshot rng in
-    (match Json.of_string (Json.to_string (Serve_proto.snapshot_to_json snap)) with
-    | Ok j when Serve_proto.snapshot_of_json j = Some snap -> ()
+    (match Json.of_string (Json.to_string (Metrics.snapshot_to_wire snap)) with
+    | Ok j when Metrics.snapshot_of_wire j = Some snap -> ()
     | _ ->
         Printf.printf "SNAPSHOT CODEC MISMATCH: %s\n"
-          (Json.to_string (Serve_proto.snapshot_to_json snap));
+          (Json.to_string (Metrics.snapshot_to_wire snap));
         exit 1);
     let sp = random_span rng in
-    (match Json.of_string (Json.to_string (Serve_proto.span_to_json sp)) with
-    | Ok j when Serve_proto.span_of_json j = Some sp -> ()
+    (match Json.of_string (Json.to_string (Obs_trace.span_to_json sp)) with
+    | Ok j when Obs_trace.span_of_json j = Some sp -> ()
     | _ ->
         Printf.printf "SPAN CODEC MISMATCH: %s\n"
-          (Json.to_string (Serve_proto.span_to_json sp));
+          (Json.to_string (Obs_trace.span_to_json sp));
         exit 1);
     let r = random_slowrec rng in
-    (match Serve_proto.Slowrec.of_json (Serve_proto.Slowrec.to_json r) with
+    let line = Json.to_string (Serve_proto.Slowrec.to_json r) in
+    (match Serve_proto.Slowrec.of_json line with
     | Ok r' when r' = r -> ()
     | Ok _ ->
-        Printf.printf "SLOWREC CODEC MISMATCH: %s\n"
-          (Serve_proto.Slowrec.to_json r);
+        Printf.printf "SLOWREC CODEC MISMATCH: %s\n" line;
         exit 1
     | Error e ->
-        Printf.printf "SLOWREC CODEC REJECTED ITS OWN OUTPUT (%s): %s\n" e
-          (Serve_proto.Slowrec.to_json r);
+        Printf.printf "SLOWREC CODEC REJECTED ITS OWN OUTPUT (%s): %s\n" e line;
         exit 1);
     let spec = random_slo_spec rng in
     (match Slo.parse spec with

@@ -46,9 +46,8 @@ type config = {
   snapshot_dir : string option;
   slow_stages : bool;
       (* arm each shard's slowlog stage scratch so Result frames carry a
-         per-stage wall breakdown; off by default because the extra
-         "stages" field changes result-frame bytes (and with them the
-         fault schedules keyed off frame contents) *)
+         per-stage wall breakdown; off by default, so shards without a
+         slowlog to feed skip the stage brackets and the extra field *)
 }
 
 let default_config =
@@ -622,8 +621,7 @@ let submit t ?id ?timeout_ms ?stages_out ~doc text =
      a child of the enclosing cluster_doc span sits. [req_t0] floors the
      grafted shard subtrees so residual clock skew cannot make them start
      before the request span that contains them. When tracing is off this
-     is [None] and doc frames are byte-identical to the untraced protocol
-     (fault schedules hash frame contents downstream, so this must hold).
+     is [None] and doc frames are byte-identical to the untraced protocol.
      Armed head sampling narrows tracing further to the sampled ordinals —
      the decision is pure in (seed, ordinal), so shard count cannot change
      which documents get traced. *)

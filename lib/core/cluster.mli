@@ -58,9 +58,8 @@ type config = {
   slow_stages : bool;
       (** arm each shard's {!Faerie_obs.Slowlog} stage scratch so Result
           frames carry a per-stage wall breakdown (serve's slow-query
-          log). Off by default: the added frame field changes result
-          frame bytes, and with them the fault schedules keyed off frame
-          contents. *)
+          log). Off by default, so shards without a slowlog to feed skip
+          the stage brackets and the extra frame field. *)
 }
 
 val default_config : config

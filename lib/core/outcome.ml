@@ -153,10 +153,16 @@ let pp_summary ppf s =
     Format.fprintf ppf " in %.1f ms"
       (Int64.to_float s.elapsed_ns /. 1e6)
 
-(* Locked by test_robustness: the serve loop prints this as its final
-   stderr line, and the smoke CI job greps it. *)
-let summary_to_json s =
-  Printf.sprintf
-    "{\"docs\":%d,\"ok\":%d,\"degraded\":%d,\"failed\":%d,\"shed\":%d,\"quarantined\":%d,\"elapsed_ns\":%Ld}"
-    s.n_docs s.n_ok s.n_degraded s.n_failed s.n_shed s.n_quarantined
-    s.elapsed_ns
+(* Locked by test_robustness: the serve loop prints these fields first
+   in its final stderr line, and the smoke CI job greps them. *)
+let summary_fields s =
+  let int k v = (k, Faerie_util.Json.int v) in
+  [
+    int "docs" s.n_docs;
+    int "ok" s.n_ok;
+    int "degraded" s.n_degraded;
+    int "failed" s.n_failed;
+    int "shed" s.n_shed;
+    int "quarantined" s.n_quarantined;
+    ("elapsed_ns", Faerie_util.Json.Int s.elapsed_ns);
+  ]

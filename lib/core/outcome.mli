@@ -121,7 +121,7 @@ val tally_summary : ?elapsed_ns:int64 -> tally -> summary
 
 val pp_summary : Format.formatter -> summary -> unit
 
-val summary_to_json : summary -> string
-(** One-line JSON object
+val summary_fields : summary -> (string * Faerie_util.Json.t) list
+(** The fields
     [{"docs":..,"ok":..,"degraded":..,"failed":..,"shed":..,"quarantined":..,"elapsed_ns":..}]
-    — the final stderr line of [faerie serve]. *)
+    that open the final stderr line of [faerie serve]. *)

@@ -18,8 +18,6 @@ let parse_error_to_string = function
       Printf.sprintf "unsupported protocol version %d (supported: %d)" got
         version
 
-let num i = Json.Num (float_of_int i)
-
 (* A ["v"] field, when present, must match [version] exactly; requests
    without one are accepted for compatibility with pre-cluster clients. *)
 let check_version j =
@@ -61,13 +59,14 @@ let error_json ~ord err =
   let extra =
     match err with
     | Malformed _ -> []
-    | Version_mismatch { got } -> [ ("got", num got); ("want", num version) ]
+    | Version_mismatch { got } ->
+        [ ("got", Json.int got); ("want", Json.int version) ]
   in
   Json.to_string
     (Json.Obj
        ([
-          ("doc", num ord);
-          ("v", num version);
+          ("doc", Json.int ord);
+          ("v", Json.int version);
           ("outcome", Json.Str "error");
           ("error", Json.Str (parse_error_to_string err));
         ]
@@ -75,24 +74,24 @@ let error_json ~ord err =
 
 let score_json = function
   | Score.Similarity f -> Json.Num f
-  | Score.Distance d -> num d
+  | Score.Distance d -> Json.int d
 
 let match_json (m : Types.char_match) =
   Json.Obj
     [
-      ("e", num m.Types.c_entity);
-      ("s", num m.Types.c_start);
-      ("l", num m.Types.c_len);
+      ("e", Json.int m.Types.c_entity);
+      ("s", Json.int m.Types.c_start);
+      ("l", Json.int m.Types.c_len);
       ("score", score_json m.Types.c_score);
     ]
 
 let response_json ~ord ~id ~gen (out : Parallel.outcome) =
   let matches ms = ("matches", Json.List (List.map match_json ms)) in
   let fields =
-    [ ("doc", num ord); ("v", num version) ]
+    [ ("doc", Json.int ord); ("v", Json.int version) ]
     @ (match id with Some s -> [ ("id", Json.Str s) ] | None -> [])
     @ [
-        ("gen", num gen);
+        ("gen", Json.int gen);
         ("outcome", Json.Str (Outcome.class_name (Outcome.classify out)));
       ]
     @
@@ -117,7 +116,7 @@ let response_json ~ord ~id ~gen (out : Parallel.outcome) =
 
 let score_to_json = function
   | Score.Similarity f -> Json.Obj [ ("s", Json.Num f) ]
-  | Score.Distance d -> Json.Obj [ ("d", num d) ]
+  | Score.Distance d -> Json.Obj [ ("d", Json.int d) ]
 
 let score_of_json j =
   match (Json.member "s" j, Json.member "d" j) with
@@ -128,9 +127,9 @@ let score_of_json j =
 let match_to_json (m : Types.char_match) =
   Json.Obj
     [
-      ("e", num m.Types.c_entity);
-      ("s", num m.Types.c_start);
-      ("l", num m.Types.c_len);
+      ("e", Json.int m.Types.c_entity);
+      ("s", Json.int m.Types.c_start);
+      ("l", Json.int m.Types.c_len);
       ("score", score_to_json m.Types.c_score);
     ]
 
@@ -170,7 +169,8 @@ let rec error_to_json (e : Outcome.error) =
   let tag t rest = Json.Obj (("t", Json.Str t) :: rest) in
   match e with
   | Outcome.Doc_too_large { bytes; limit } ->
-      tag "doc_too_large" [ ("bytes", num bytes); ("limit", num limit) ]
+      tag "doc_too_large"
+        [ ("bytes", Json.int bytes); ("limit", Json.int limit) ]
   | Outcome.Budget_exhausted x ->
       tag "budget" [ ("which", Json.Str (exhaustion_to_tag x)) ]
   | Outcome.Tokenize_error msg -> tag "tokenize" [ ("msg", Json.Str msg) ]
@@ -186,7 +186,8 @@ let rec error_to_json (e : Outcome.error) =
   | Outcome.Shed cause ->
       tag "shed" [ ("cause", Json.Str (shed_cause_to_tag cause)) ]
   | Outcome.Quarantined { attempts; last } ->
-      tag "quarantined" [ ("attempts", num attempts); ("last", error_to_json last) ]
+      tag "quarantined"
+        [ ("attempts", Json.int attempts); ("last", error_to_json last) ]
 
 let rec error_of_json j =
   let str name = Option.bind (Json.member name j) Json.to_str in
@@ -231,12 +232,15 @@ let degradation_to_json (d : Outcome.degradation) =
   let tag t rest = Json.Obj (("t", Json.Str t) :: rest) in
   match d with
   | Outcome.Oversize_chunked { bytes; limit } ->
-      tag "oversize" [ ("bytes", num bytes); ("limit", num limit) ]
+      tag "oversize" [ ("bytes", Json.int bytes); ("limit", Json.int limit) ]
   | Outcome.Partial x ->
       tag "partial" [ ("which", Json.Str (exhaustion_to_tag x)) ]
   | Outcome.Shard_partial { n_shards; missing } ->
       tag "shard_partial"
-        [ ("shards", num n_shards); ("missing", Json.List (List.map num missing)) ]
+        [
+          ("shards", Json.int n_shards);
+          ("missing", Json.List (List.map Json.int missing));
+        ]
 
 let degradation_of_json j =
   let str name = Option.bind (Json.member name j) Json.to_str in
@@ -252,22 +256,14 @@ let degradation_of_json j =
         (fun x -> Outcome.Partial x)
         (Option.bind (str "which") exhaustion_of_tag)
   | Some "shard_partial" -> (
-      match (int "shards", Json.member "missing" j) with
-      | Some n_shards, Some (Json.List ms) ->
-          let missing = List.filter_map Json.to_int ms in
-          if List.length missing = List.length ms then
-            Some (Outcome.Shard_partial { n_shards; missing })
-          else None
+      let missing =
+        Option.bind (Json.member "missing" j) (Json.list_of Json.to_int)
+      in
+      match (int "shards", missing) with
+      | Some n_shards, Some missing ->
+          Some (Outcome.Shard_partial { n_shards; missing })
       | _ -> None)
   | _ -> None
-
-let all_some xs =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | Some x :: rest -> go (x :: acc) rest
-    | None :: _ -> None
-  in
-  go [] xs
 
 let outcome_to_json (o : Parallel.outcome) =
   let matches ms = ("matches", Json.List (List.map match_to_json ms)) in
@@ -285,9 +281,7 @@ let outcome_to_json (o : Parallel.outcome) =
 
 let outcome_of_json j : Parallel.outcome option =
   let matches () =
-    match Json.member "matches" j with
-    | Some (Json.List ms) -> all_some (List.map match_of_json ms)
-    | _ -> None
+    Option.bind (Json.member "matches" j) (Json.list_of match_of_json)
   in
   match Option.bind (Json.member "cls" j) Json.to_str with
   | Some "ok" -> Option.map (fun ms -> Outcome.Ok ms) (matches ())
@@ -302,265 +296,17 @@ let outcome_of_json j : Parallel.outcome option =
         (Option.bind (Json.member "error" j) error_of_json)
   | _ -> None
 
-(* ---- metrics snapshot codec ---- *)
-
-(* Two renderings of a snapshot. The {e wire} form ([snapshot_to_json] /
-   [snapshot_of_json]) is full fidelity — gauge agg modes and labels ride
-   along so the coordinator can [Metrics.merge_snapshots] shard snapshots
-   without access to the shards' registries. The {e display} form
-   ([snapshot_json]) keys plain name→value objects for the admin plane and
-   the stderr summary, where [jq '.metrics.counters.X'] must work. *)
-
-let snapshot_to_json (s : Metrics.snapshot) =
-  let counters = List.map (fun (n, v) -> (n, num v)) s.Metrics.counters in
-  let gauge (n, (g : Metrics.gauge_snapshot)) =
-    let fields =
-      [
-        ("v", Json.Num g.value);
-        ("agg", Json.Str (match g.agg with `Sum -> "sum" | `Max -> "max"));
-      ]
-      @
-      match g.label with
-      | None -> []
-      | Some (family, key, value) ->
-          [
-            ( "label",
-              Json.List [ Json.Str family; Json.Str key; Json.Str value ] );
-          ]
-    in
-    (n, Json.Obj fields)
-  in
-  let hist (n, (h : Metrics.histogram_snapshot)) =
-    ( n,
-      Json.Obj
-        ([
-           ( "upper",
-             Json.List (Array.to_list (Array.map (fun f -> Json.Num f) h.upper))
-           );
-           ("counts", Json.List (Array.to_list (Array.map num h.counts)));
-           ("sum", Json.Num h.sum);
-           ("count", num h.count);
-         ]
-        @
-        (* absent (not null) when no exemplar: histograms without traced
-           observations keep the pre-exemplar frame bytes, which fault
-           schedules hash *)
-        match h.exemplars with
-        | [||] -> []
-        | ex ->
-            [
-              ( "ex",
-                Json.List
-                  (Array.to_list
-                     (Array.map
-                        (fun (t, v) ->
-                          Json.List [ num t; Json.Num v ])
-                        ex)) );
-            ]) )
-  in
-  Json.Obj
-    [
-      ("counters", Json.Obj counters);
-      ("gauges", Json.Obj (List.map gauge s.Metrics.gauges));
-      ("histograms", Json.Obj (List.map hist s.Metrics.histograms));
-    ]
-
-let snapshot_of_json j : Metrics.snapshot option =
-  let section name =
-    match Json.member name j with Some (Json.Obj kvs) -> Some kvs | _ -> None
-  in
-  let counter (n, v) = Option.map (fun i -> (n, i)) (Json.to_int v) in
-  let gauge (n, gj) =
-    let value = Option.bind (Json.member "v" gj) Json.to_num in
-    let agg =
-      match Option.bind (Json.member "agg" gj) Json.to_str with
-      | Some "sum" -> Some `Sum
-      | Some "max" -> Some `Max
-      | _ -> None
-    in
-    let label =
-      match Json.member "label" gj with
-      | None -> Some None
-      | Some (Json.List [ Json.Str f; Json.Str k; Json.Str v ]) ->
-          Some (Some (f, k, v))
-      | Some _ -> None
-    in
-    match (value, agg, label) with
-    | Some value, Some agg, Some label ->
-        Some (n, { Metrics.value; agg; label })
-    | _ -> None
-  in
-  let hist (n, hj) =
-    let floats name =
-      match Json.member name hj with
-      | Some (Json.List l) ->
-          Option.map Array.of_list (all_some (List.map Json.to_num l))
-      | _ -> None
-    in
-    let ints name =
-      match Json.member name hj with
-      | Some (Json.List l) ->
-          Option.map Array.of_list (all_some (List.map Json.to_int l))
-      | _ -> None
-    in
-    let exemplars =
-      match Json.member "ex" hj with
-      | None -> Some [||]
-      | Some (Json.List cells) ->
-          Option.map Array.of_list
-            (all_some
-               (List.map
-                  (function
-                    | Json.List [ t; v ] -> (
-                        match (Json.to_int t, Json.to_num v) with
-                        | Some t, Some v -> Some (t, v)
-                        | _ -> None)
-                    | _ -> None)
-                  cells))
-      | Some _ -> None
-    in
-    match
-      ( floats "upper",
-        ints "counts",
-        Option.bind (Json.member "sum" hj) Json.to_num,
-        Option.bind (Json.member "count" hj) Json.to_int,
-        exemplars )
-    with
-    | Some upper, Some counts, Some sum, Some count, Some exemplars ->
-        Some (n, { Metrics.upper; counts; sum; count; exemplars })
-    | _ -> None
-  in
-  match (section "counters", section "gauges", section "histograms") with
-  | Some cs, Some gs, Some hs -> (
-      match
-        ( all_some (List.map counter cs),
-          all_some (List.map gauge gs),
-          all_some (List.map hist hs) )
-      with
-      | Some counters, Some gauges, Some histograms ->
-          Some { Metrics.counters; gauges; histograms }
-      | _ -> None)
-  | _ -> None
-
-let snapshot_json (s : Metrics.snapshot) =
-  Json.Obj
-    [
-      ( "counters",
-        Json.Obj (List.map (fun (n, v) -> (n, num v)) s.Metrics.counters) );
-      ( "gauges",
-        Json.Obj
-          (List.map
-             (fun (n, (g : Metrics.gauge_snapshot)) -> (n, Json.Num g.value))
-             s.Metrics.gauges) );
-      ( "histograms",
-        Json.Obj
-          (List.map
-             (fun (n, (h : Metrics.histogram_snapshot)) ->
-               ( n,
-                 Json.Obj
-                   ([
-                      ( "upper",
-                        Json.List
-                          (Array.to_list
-                             (Array.map (fun f -> Json.Num f) h.upper)) );
-                      ( "counts",
-                        Json.List (Array.to_list (Array.map num h.counts)) );
-                      ("sum", Json.Num h.sum);
-                      ("count", num h.count);
-                    ]
-                   @
-                   (* jq-friendly: .histograms.doc_wall_ns.exemplars[]
-                      links a bucket to the trace id of its slowest
-                      observation; absent when none *)
-                   let cells = ref [] in
-                   Array.iteri
-                     (fun i (t, v) ->
-                       if t <> 0 then
-                         cells :=
-                           Json.Obj
-                             [
-                               ("i", num i); ("trace", num t); ("value", Json.Num v);
-                             ]
-                           :: !cells)
-                     h.exemplars;
-                   match List.rev !cells with
-                   | [] -> []
-                   | cells -> [ ("exemplars", Json.List cells) ]) ))
-             s.Metrics.histograms) );
-    ]
-
-(* ---- serve stderr summaries ---- *)
-
-let metrics_suffix = function
-  | None -> ""
-  | Some m ->
-      Printf.sprintf ",\"metrics\":%s" (Json.to_string (snapshot_json m))
-
-(* [slo], when given, is a pre-rendered JSON object (Slo.to_json output —
-   lib/obs renders its own JSON, this layer just splices it). *)
-let slo_suffix = function
-  | None -> ""
-  | Some slo -> Printf.sprintf ",\"slo\":%s" slo
+(* ---- serve stderr summary ---- *)
 
 let summary_json ?metrics ?slo ?(counts = []) ~reloads s =
-  let base = Outcome.summary_to_json s in
-  (* [summary_to_json] always ends in '}'; splice the extra fields in. *)
-  Printf.sprintf "%s,\"reloads\":%d%s%s%s}"
-    (String.sub base 0 (String.length base - 1))
-    reloads
-    (String.concat ""
-       (List.map (fun (k, v) -> Printf.sprintf ",\"%s\":%d" k v) counts))
-    (slo_suffix slo) (metrics_suffix metrics)
-
-(* ---- trace span codec (cluster internal frames) ---- *)
-
-(* Nanosecond timestamps (~1.7e18 for a wall clock) exceed the 2^53
-   integer range of an IEEE double, so int64 fields travel as JSON
-   strings — a [Json.Num] round-trip would silently round them. *)
-
-let span_to_json (s : Trace.span) =
-  Json.Obj
-    [
-      ("n", Json.Str s.Trace.name);
-      ("t0", Json.Str (Int64.to_string s.Trace.start_ns));
-      ("dur", Json.Str (Int64.to_string s.Trace.dur_ns));
-      ("d", num s.Trace.depth);
-      ("dom", num s.Trace.domain);
-      ("tr", num s.Trace.trace);
-      ("ok", Json.Bool s.Trace.ok);
-      ("attrs", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) s.Trace.attrs));
-    ]
-
-let span_of_json j : Trace.span option =
-  let i64 name =
-    match Json.member name j with
-    | Some (Json.Str s) -> Int64.of_string_opt s
-    | _ -> None
-  in
-  let int name = Option.bind (Json.member name j) Json.to_int in
-  let attrs =
-    match Json.member "attrs" j with
-    | Some (Json.Obj kvs) ->
-        all_some
-          (List.map
-             (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.to_str v))
-             kvs)
-    | _ -> None
-  in
-  match
-    ( Option.bind (Json.member "n" j) Json.to_str,
-      i64 "t0",
-      i64 "dur",
-      int "d",
-      int "dom",
-      int "tr",
-      Option.bind (Json.member "ok" j) Json.to_bool,
-      attrs )
-  with
-  | Some name, Some start_ns, Some dur_ns, Some depth, Some domain, Some trace,
-    Some ok, Some attrs ->
-      Some { Trace.name; start_ns; dur_ns; depth; domain; trace; ok; attrs }
-  | _ -> None
+  let opt k = function Some v -> [ (k, v) ] | None -> [] in
+  Json.to_string
+    (Json.Obj
+       (Outcome.summary_fields s
+       @ ("reloads", Json.int reloads)
+         :: List.map (fun (k, v) -> (k, Json.int v)) counts
+       @ opt "slo" slo
+       @ opt "metrics" (Option.map Metrics.snapshot_json metrics)))
 
 (* ---- admin plane ---- *)
 
@@ -611,17 +357,17 @@ let parse_admin line =
 
 let stats_response_json ?(missing = []) ~format snap =
   let fields =
-    [ ("v", num version); ("op", Json.Str "stats") ]
+    [ ("v", Json.int version); ("op", Json.Str "stats") ]
     @ (match missing with
       | [] -> []
       | ms ->
           [
             ("partial", Json.Bool true);
-            ("missing_shards", Json.List (List.map num ms));
+            ("missing_shards", Json.List (List.map Json.int ms));
           ])
     @
     match format with
-    | `Jsonl -> [ ("metrics", snapshot_json snap) ]
+    | `Jsonl -> [ ("metrics", Metrics.snapshot_json snap) ]
     | `Prometheus ->
         [ ("prometheus", Json.Str (Metrics.render_prometheus snap)) ]
   in
@@ -640,59 +386,48 @@ type shard_health = {
          mutation subsystem or the shard is down *)
 }
 
-(* [slo] is a pre-rendered JSON object (Slo.to_json); [uptime_s] /
-   [max_rss_bytes] describe the serving process (rss is the max across
-   the process and the last merged shard snapshot in cluster mode). *)
+(* [slo] is an assessment (Slo.to_json); [uptime_s] / [max_rss_bytes]
+   describe the serving process (rss is the max across the process and
+   the last merged shard snapshot in cluster mode). *)
 let health_response_json ?uptime_s ?max_rss_bytes ?slo ~status shards =
-  let base =
-    Json.to_string
-      (Json.Obj
-         ([
-            ("v", num version);
-            ("op", Json.Str "health");
-            ("status", Json.Str status);
-            ( "shards",
-              Json.List
-                (List.map
-                   (fun h ->
-                     Json.Obj
-                       ([
-                          ("shard", num h.h_shard);
-                          ("up", Json.Bool h.h_up);
-                          ("gen", num h.h_gen);
-                          ("restarts", num h.h_restarts);
-                          ("queue_depth", num h.h_queue_depth);
-                          (* append-only past this point (locked prefix) *)
-                          ("delta", num h.h_delta);
-                        ]
-                       @
-                       match h.h_compact_age_s with
-                       | Some a -> [ ("compact_age_s", Json.Num a) ]
-                       | None -> []))
-                   shards) );
-          ]
-         @ (match uptime_s with
-           | Some u -> [ ("uptime_s", Json.Num u) ]
-           | None -> [])
-         @
-         match max_rss_bytes with
-         | Some r -> [ ("max_rss_bytes", Json.Num r) ]
-         | None -> []))
+  let opt k = function Some v -> [ (k, v) ] | None -> [] in
+  let num k v = opt k (Option.map (fun f -> Json.Num f) v) in
+  let shard h =
+    Json.Obj
+      ([
+         ("shard", Json.int h.h_shard);
+         ("up", Json.Bool h.h_up);
+         ("gen", Json.int h.h_gen);
+         ("restarts", Json.int h.h_restarts);
+         ("queue_depth", Json.int h.h_queue_depth);
+         (* append-only past this point (locked prefix) *)
+         ("delta", Json.int h.h_delta);
+       ]
+      @ num "compact_age_s" h.h_compact_age_s)
   in
-  match slo with
-  | None -> base
-  | Some slo ->
-      Printf.sprintf "%s,\"slo\":%s}"
-        (String.sub base 0 (String.length base - 1))
-        slo
+  Json.to_string
+    (Json.Obj
+       ([
+          ("v", Json.int version);
+          ("op", Json.Str "health");
+          ("status", Json.Str status);
+          ("shards", Json.List (List.map shard shards));
+        ]
+       @ num "uptime_s" uptime_s
+       @ num "max_rss_bytes" max_rss_bytes
+       @ opt "slo" slo))
 
-(* [records] are pre-rendered Slowrec lines (each a complete JSON
-   object), slowest first; [total] counts captures since arming,
-   including entries since evicted from the ring. *)
+(* [records] are Slowrec records, slowest first; [total] counts captures
+   since arming, including entries since evicted from the ring. *)
 let slowlog_response_json ~total records =
-  Printf.sprintf "{\"v\":%d,\"op\":\"slowlog\",\"total\":%d,\"records\":[%s]}"
-    version total
-    (String.concat "," records)
+  Json.to_string
+    (Json.Obj
+       [
+         ("v", Json.int version);
+         ("op", Json.Str "slowlog");
+         ("total", Json.int total);
+         ("records", Json.List records);
+       ])
 
 (* ---- dictionary-mutation admin responses ---- *)
 
@@ -706,25 +441,25 @@ let dict_response_json ~op ~applied ~entity ~entities ~gen =
   Json.to_string
     (Json.Obj
        [
-         ("v", num version);
+         ("v", Json.int version);
          ("op", Json.Str op);
          ("outcome", Json.Str "ok");
          ("applied", Json.Bool applied);
-         ("entity", num entity);
-         ("entities", num entities);
-         ("gen", num gen);
+         ("entity", Json.int entity);
+         ("entities", Json.int entities);
+         ("gen", Json.int gen);
        ])
 
 let compact_response_json ~gen ~folded ~entities =
   Json.to_string
     (Json.Obj
        [
-         ("v", num version);
+         ("v", Json.int version);
          ("op", Json.Str "compact");
          ("outcome", Json.Str "ok");
-         ("gen", num gen);
-         ("folded", num folded);
-         ("entities", num entities);
+         ("gen", Json.int gen);
+         ("folded", Json.int folded);
+         ("entities", Json.int entities);
        ])
 
 (* Admin-op failure (WAL append rejected, compaction aborted, mutations
@@ -734,7 +469,7 @@ let admin_error_json ~op error =
   Json.to_string
     (Json.Obj
        [
-         ("v", num version);
+         ("v", Json.int version);
          ("op", Json.Str op);
          ("outcome", Json.Str "error");
          ("error", Json.Str error);
@@ -772,44 +507,26 @@ module Slowrec = struct
     text : string;
   }
 
-  let opt_num = function Some i -> num i | None -> Json.Null
-
   let to_json r =
-    Json.to_string
-      (Json.Obj
-         ([
-            ("kind", Json.Str "slowlog");
-            ("doc", num r.doc_id);
-            ("id", match r.id with Some s -> Json.Str s | None -> Json.Null);
-            ("trace", num r.trace);
-            ("gen", num r.gen);
-            ("wall_ms", Json.Num r.wall_ms);
-            ("outcome", Json.Str r.outcome);
-            ( "stages_ms",
-              Json.Obj (List.map (fun (n, v) -> (n, Json.Num v)) r.stages_ms) );
-            ("sim", Json.Str (Sim.to_spec r.sim));
-            ("q", num r.q);
-            ("pruning", Json.Str (Types.pruning_name r.pruning));
-            ( "budget",
-              Json.Obj
-                [
-                  ("timeout_ms", opt_num r.budget.Budget.timeout_ms);
-                  ("max_bytes", opt_num r.budget.Budget.max_bytes);
-                  ("max_candidates", opt_num r.budget.Budget.max_candidates);
-                ] );
-            ( "fault",
-              match r.fault with
-              | None -> Json.Null
-              | Some { Fault.seed; rates } ->
-                  Json.Obj
-                    [
-                      ("seed", num seed);
-                      ( "rates",
-                        Json.Obj
-                          (List.map (fun (s, p) -> (s, Json.Num p)) rates) );
-                    ] );
-            ("text", Json.Str r.text);
-          ]))
+    Json.Obj
+      [
+        ("kind", Json.Str "slowlog");
+        ("doc", Json.int r.doc_id);
+        ("id", match r.id with Some s -> Json.Str s | None -> Json.Null);
+        ("trace", Json.int r.trace);
+        ("gen", Json.int r.gen);
+        ("wall_ms", Json.Num r.wall_ms);
+        ("outcome", Json.Str r.outcome);
+        ( "stages_ms",
+          Json.Obj (List.map (fun (n, v) -> (n, Json.Num v)) r.stages_ms) );
+        ("sim", Json.Str (Sim.to_spec r.sim));
+        ("q", Json.int r.q);
+        ("pruning", Json.Str (Types.pruning_name r.pruning));
+        ("budget", Budget.spec_to_json r.budget);
+        ( "fault",
+          Option.fold ~none:Json.Null ~some:Fault.config_to_json r.fault );
+        ("text", Json.Str r.text);
+      ]
 
   let of_json line =
     match Json.of_string line with
@@ -854,34 +571,12 @@ module Slowrec = struct
             | Some p -> Ok p
             | None -> Error (Printf.sprintf "unknown pruning %S" pruning_name)
           in
-          let opt_int obj name = Option.bind (Json.member name obj) Json.to_int in
           let budget =
-            match Json.member "budget" j with
-            | Some (Json.Obj _ as b) ->
-                {
-                  Budget.timeout_ms = opt_int b "timeout_ms";
-                  max_bytes = opt_int b "max_bytes";
-                  max_candidates = opt_int b "max_candidates";
-                }
-            | _ -> Budget.spec_unlimited
+            Option.fold ~none:Budget.spec_unlimited ~some:Budget.spec_of_json
+              (Json.member "budget" j)
           in
           let fault =
-            match Json.member "fault" j with
-            | Some (Json.Obj _ as f) ->
-                Option.map
-                  (fun seed ->
-                    let rates =
-                      match Json.member "rates" f with
-                      | Some (Json.Obj kvs) ->
-                          List.filter_map
-                            (fun (site, v) ->
-                              Option.map (fun p -> (site, p)) (Json.to_num v))
-                            kvs
-                      | _ -> []
-                    in
-                    { Fault.seed; rates })
-                  (opt_int f "seed")
-            | _ -> None
+            Option.bind (Json.member "fault" j) Fault.config_of_json
           in
           let* text = field "text" Json.to_str in
           Ok
@@ -976,8 +671,7 @@ module Shard = struct
         text : string;
         trace : (int * int) option;
             (* (trace id, absolute depth) the shard's subtree records
-               under; [None] when tracing is off, so doc frames — and the
-               fault schedules keyed off their bytes — are unchanged. *)
+               under; [None] (field absent) when tracing is off *)
       }
     | Prepare of { gen : int; path : string }
     | Commit of { gen : int }
@@ -996,9 +690,8 @@ module Shard = struct
         spans : Trace.span list;
         stages : (string * float) list;
             (* per-stage wall breakdown (name, ns) from the shard's
-               slowlog stage brackets; [] when stage timing is off, so
-               result frame bytes — and the fault schedules keyed off
-               them — are unchanged. *)
+               slowlog stage brackets; [] (field absent) when stage
+               timing is off *)
       }
     | Prepared of { gen : int }
     | Prepare_failed of { gen : int; error : string }
@@ -1012,26 +705,27 @@ module Shard = struct
     | Stats_reply of { shard : int; snapshot : Metrics.snapshot }
     | Bye of { restarts : int; quarantined : int }
 
-  let obj op fields = Json.Obj (("v", num version) :: ("op", Json.Str op) :: fields)
+  let obj op fields =
+    Json.Obj (("v", Json.int version) :: ("op", Json.Str op) :: fields)
 
   let msg_to_string m =
     Json.to_string
       (match m with
       | Doc { doc; attempt; timeout_ms; text; trace } ->
           obj "doc"
-            ([ ("doc", num doc); ("attempt", num attempt) ]
+            ([ ("doc", Json.int doc); ("attempt", Json.int attempt) ]
             @ (match timeout_ms with
-              | Some t -> [ ("timeout_ms", num t) ]
+              | Some t -> [ ("timeout_ms", Json.int t) ]
               | None -> [])
             @ (match trace with
               | Some (tid, depth) ->
-                  [ ("trace", num tid); ("tdepth", num depth) ]
+                  [ ("trace", Json.int tid); ("tdepth", Json.int depth) ]
               | None -> [])
             @ [ ("text", Json.Str text) ])
       | Prepare { gen; path } ->
-          obj "prepare" [ ("gen", num gen); ("path", Json.Str path) ]
-      | Commit { gen } -> obj "commit" [ ("gen", num gen) ]
-      | Abort { gen } -> obj "abort" [ ("gen", num gen) ]
+          obj "prepare" [ ("gen", Json.int gen); ("path", Json.Str path) ]
+      | Commit { gen } -> obj "commit" [ ("gen", Json.int gen) ]
+      | Abort { gen } -> obj "abort" [ ("gen", Json.int gen) ]
       | Dict_add { raw } -> obj "dict_add" [ ("entity", Json.Str raw) ]
       | Dict_remove { raw } -> obj "dict_remove" [ ("entity", Json.Str raw) ]
       | Stats_req -> obj "stats" []
@@ -1043,16 +737,17 @@ module Shard = struct
       | Ready { shard; gen; now_ns } ->
           obj "ready"
             [
-              ("shard", num shard);
-              ("gen", num gen);
-              ("now", Json.Str (Int64.to_string now_ns));
+              ("shard", Json.int shard);
+              ("gen", Json.int gen);
+              ("now", Json.Int now_ns);
             ]
       | Result { doc; gen; outcome; spans; stages } ->
           obj "result"
-            ([ ("doc", num doc); ("gen", num gen) ]
+            ([ ("doc", Json.int doc); ("gen", Json.int gen) ]
             @ (match spans with
               | [] -> []
-              | _ -> [ ("spans", Json.List (List.map span_to_json spans)) ])
+              | _ ->
+                  [ ("spans", Json.List (List.map Trace.span_to_json spans)) ])
             @ (match stages with
               | [] -> []
               | _ ->
@@ -1062,24 +757,32 @@ module Shard = struct
                         (List.map (fun (n, v) -> (n, Json.Num v)) stages) );
                   ])
             @ [ ("out", outcome_to_json outcome) ])
-      | Prepared { gen } -> obj "prepared" [ ("gen", num gen) ]
+      | Prepared { gen } -> obj "prepared" [ ("gen", Json.int gen) ]
       | Prepare_failed { gen; error } ->
-          obj "prepare_failed" [ ("gen", num gen); ("error", Json.Str error) ]
-      | Committed { gen } -> obj "committed" [ ("gen", num gen) ]
-      | Aborted { gen } -> obj "aborted" [ ("gen", num gen) ]
+          obj "prepare_failed"
+            [ ("gen", Json.int gen); ("error", Json.Str error) ]
+      | Committed { gen } -> obj "committed" [ ("gen", Json.int gen) ]
+      | Aborted { gen } -> obj "aborted" [ ("gen", Json.int gen) ]
       | Refused { error } -> obj "refused" [ ("error", Json.Str error) ]
       | Mutated { gen; entity; applied } ->
           obj "mutated"
             [
-              ("gen", num gen);
-              ("entity", num entity);
+              ("gen", Json.int gen);
+              ("entity", Json.int entity);
               ("applied", Json.Bool applied);
             ]
       | Stats_reply { shard; snapshot } ->
           obj "stats"
-            [ ("shard", num shard); ("snapshot", snapshot_to_json snapshot) ]
+            [
+              ("shard", Json.int shard);
+              ("snapshot", Metrics.snapshot_to_wire snapshot);
+            ]
       | Bye { restarts; quarantined } ->
-          obj "bye" [ ("restarts", num restarts); ("quarantined", num quarantined) ])
+          obj "bye"
+            [
+              ("restarts", Json.int restarts);
+              ("quarantined", Json.int quarantined);
+            ])
 
   let decode line =
     match Json.of_string line with
@@ -1148,11 +851,7 @@ module Shard = struct
         in
         match op with
         | "ready" -> (
-            let now =
-              match Json.member "now" j with
-              | Some (Json.Str s) -> Int64.of_string_opt s
-              | _ -> None
-            in
+            let now = Option.bind (Json.member "now" j) Json.to_int64 in
             match (int "shard", int "gen", now) with
             | Some shard, Some gen, Some now_ns ->
                 Ok (Ready { shard; gen; now_ns })
@@ -1161,8 +860,7 @@ module Shard = struct
             let spans =
               match Json.member "spans" j with
               | None -> Some []
-              | Some (Json.List ss) -> all_some (List.map span_of_json ss)
-              | Some _ -> None
+              | Some ss -> Json.list_of Trace.span_of_json ss
             in
             let stages =
               match Json.member "stages" j with
@@ -1214,7 +912,8 @@ module Shard = struct
         | "stats" -> (
             match
               ( int "shard",
-                Option.bind (Json.member "snapshot" j) snapshot_of_json )
+                Option.bind (Json.member "snapshot" j)
+                  Metrics.snapshot_of_wire )
             with
             | Some shard, Some snapshot -> Ok (Stats_reply { shard; snapshot })
             | _ -> bad ())

@@ -59,51 +59,19 @@ val response_json :
 
 val summary_json :
   ?metrics:Faerie_obs.Metrics.snapshot ->
-  ?slo:string ->
+  ?slo:Faerie_util.Json.t ->
   ?counts:(string * int) list ->
   reloads:int ->
   Outcome.summary ->
   string
-(** Final stderr line: {!Outcome.summary_to_json} extended with the
-    hot-reload count, then [counts] in order (a sharded server's
-    [shards], [shard_restarts], [shard_timeouts], [docs_partial] and
-    [quarantined_pairs]), and — when [metrics] is given — a trailing
-    ["metrics"] object in the {!snapshot_json} display schema (the
-    cluster-merged snapshot when sharded) so smoke jobs can assert
-    counters straight off the summary. [slo] is a pre-rendered
-    {!Faerie_obs.Slo.to_json} assessment spliced in as an ["slo"]
-    object. *)
-
-(** {1 Metrics snapshot codec}
-
-    Two JSON renderings of a {!Faerie_obs.Metrics.snapshot}. The wire pair
-    ({!snapshot_to_json} / {!snapshot_of_json}) is full fidelity — gauges
-    keep their agg mode and Prometheus label, so the coordinator can
-    {!Faerie_obs.Metrics.merge_snapshots} shard snapshots without any
-    access to the shards' registries. The display form ({!snapshot_json})
-    is the locked admin/summary schema:
-    {v
-    {"counters":{N:V,...},"gauges":{N:V,...},
-     "histograms":{N:{"upper":[...],"counts":[...],"sum":S,"count":C},...}}
-    v} *)
-
-val snapshot_to_json : Faerie_obs.Metrics.snapshot -> Faerie_util.Json.t
-
-val snapshot_of_json :
-  Faerie_util.Json.t -> Faerie_obs.Metrics.snapshot option
-
-val snapshot_json : Faerie_obs.Metrics.snapshot -> Faerie_util.Json.t
-
-(** {1 Trace span codec}
-
-    Lossless round-trip of {!Faerie_obs.Trace.span} for shard replies.
-    Nanosecond [int64] fields travel as JSON {e strings}: wall-clock
-    timestamps (~1.7e18) exceed the 2^53 exact-integer range of the JSON
-    number's IEEE double. *)
-
-val span_to_json : Faerie_obs.Trace.span -> Faerie_util.Json.t
-
-val span_of_json : Faerie_util.Json.t -> Faerie_obs.Trace.span option
+(** Final stderr line: the {!Outcome.summary_fields}, then the hot-reload
+    count, then [counts] in order (a sharded server's [shards],
+    [shard_restarts], [shard_timeouts], [docs_partial] and
+    [quarantined_pairs]), then [slo] (a {!Faerie_obs.Slo.to_json}
+    assessment) as an ["slo"] object, and — when [metrics] is given — a
+    trailing ["metrics"] object in the {!Faerie_obs.Metrics.snapshot_json}
+    display schema (the cluster-merged snapshot when sharded) so smoke
+    jobs can assert counters straight off the summary. *)
 
 (** {1 Admin plane}
 
@@ -131,7 +99,8 @@ val stats_response_json :
   Faerie_obs.Metrics.snapshot ->
   string
 (** Response line for [{"op":"stats"}]. [`Jsonl] embeds the merged
-    snapshot as a ["metrics"] object ({!snapshot_json} schema);
+    snapshot as a ["metrics"] object
+    ({!Faerie_obs.Metrics.snapshot_json} schema);
     [`Prometheus] embeds the text exposition as a ["prometheus"] string.
     A non-empty [missing] (shards that produced no snapshot before the
     deadline) adds ["partial":true] and ["missing_shards"]. *)
@@ -155,7 +124,7 @@ type shard_health = {
 val health_response_json :
   ?uptime_s:float ->
   ?max_rss_bytes:float ->
-  ?slo:string ->
+  ?slo:Faerie_util.Json.t ->
   status:string ->
   shard_health list ->
   string
@@ -163,9 +132,8 @@ val health_response_json :
     [{"v":1,"op":"health","status":S,...,"shards":[...]}] with [status]
     ["ok"|"degraded"|"slo_burn"]. [uptime_s] and [max_rss_bytes] (peak
     RSS, maxed across shard processes) add same-named numeric fields;
-    [slo] is a pre-rendered {!Faerie_obs.Slo.to_json} assessment spliced
-    in as an ["slo"] object. Single-process serving reports itself as
-    one pseudo-shard. *)
+    [slo], a {!Faerie_obs.Slo.to_json} assessment, adds an ["slo"]
+    object. Single-process serving reports itself as one pseudo-shard. *)
 
 val dict_response_json :
   op:string -> applied:bool -> entity:int -> entities:int -> gen:int -> string
@@ -185,10 +153,10 @@ val admin_error_json : op:string -> string -> string
     mutations not armed): [{"v":1,"op":OP,"outcome":"error","error":MSG}];
     the dictionary is untouched. *)
 
-val slowlog_response_json : total:int -> string list -> string
+val slowlog_response_json : total:int -> Faerie_util.Json.t list -> string
 (** Response line for [{"op":"slowlog"}]:
     [{"v":1,"op":"slowlog","total":N,"records":[...]}] where each record
-    is a pre-rendered {!Slowrec.to_json} line (slowest first) and
+    is a {!Slowrec.to_json} object (slowest first) and
     [total] counts every capture since startup, including records the
     bounded ring has since evicted. *)
 
@@ -224,8 +192,8 @@ module Slowrec : sig
     text : string;
   }
 
-  val to_json : t -> string
-  (** One NDJSON line (no trailing newline). *)
+  val to_json : t -> Faerie_util.Json.t
+  (** One record object, printed as one NDJSON line. *)
 
   val of_json : string -> (t, string) result
   (** Rejects lines whose ["kind"] is not ["slowlog"] — including

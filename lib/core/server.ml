@@ -77,11 +77,16 @@ module Local = struct
   let generation t = Live_dict.generation t.live
   let live_count t = Live_dict.live_count t.live
 
+  (* Quarantine records name the generation that served the document. *)
+  let adopt t next =
+    Live_dict.adopt t.live next;
+    Supervisor.note_generation t.pool (generation t)
+
   let reload t ~reapply =
     let gen = generation t + 1 in
     match Live_dict.create ~gen ~replay:reapply ~sim:t.c.sim (source_index t.c) with
     | next ->
-        Live_dict.adopt t.live next;
+        adopt t next;
         Ok gen
     | exception e ->
         Error
@@ -116,7 +121,7 @@ module Local = struct
             Error (Printf.sprintf "injected fault at %s" site)
         | exception Sys_error m -> Error m
         | p ->
-            Live_dict.adopt t.live (Live_dict.of_problem ~gen p);
+            adopt t (Live_dict.of_problem ~gen p);
             t.last_compact <- Unix.gettimeofday ();
             Ok (gen, folded))
 
@@ -446,7 +451,7 @@ let run (type b) (module B : S with type t = b) (b : b) (c : config)
         Json.to_string
           (Json.Obj
              [
-               ("v", Json.Num (float_of_int Serve_proto.version));
+               ("v", Json.int Serve_proto.version);
                ("outcome", Json.Str "error");
                ("error", Json.Str (Serve_proto.parse_error_to_string e));
              ])

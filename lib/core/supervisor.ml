@@ -124,46 +124,27 @@ module Quarantine = struct
     text : string;
   }
 
-  let num i = Json.Num (float_of_int i)
-
-  let opt_num = function Some i -> num i | None -> Json.Null
-
   let to_json r =
     Json.to_string
       (Json.Obj
          ([
-            ("doc", num r.doc_id);
+            ("doc", Json.int r.doc_id);
             ("id", match r.id with Some s -> Json.Str s | None -> Json.Null);
           ]
          @ (* only cluster shards stamp their id; single-pool records keep
               the pre-cluster shape byte-for-byte *)
-         (match r.shard with Some s -> [ ("shard", num s) ] | None -> [])
+         (match r.shard with Some s -> [ ("shard", Json.int s) ] | None -> [])
          @ [
-           ("attempts", num r.attempts);
+           ("attempts", Json.int r.attempts);
            ("error", Json.Str r.error);
            ("sim", Json.Str (Sim.to_spec r.sim));
-           ("q", num r.q);
+           ("q", Json.int r.q);
            ("pruning", Json.Str (Types.pruning_name r.pruning));
-           ( "budget",
-             Json.Obj
-               [
-                 ("timeout_ms", opt_num r.budget.Budget.timeout_ms);
-                 ("max_bytes", opt_num r.budget.Budget.max_bytes);
-                 ("max_candidates", opt_num r.budget.Budget.max_candidates);
-               ] );
+           ("budget", Budget.spec_to_json r.budget);
            ( "fault",
-             match r.fault with
-             | None -> Json.Null
-             | Some { Fault.seed; rates } ->
-                 Json.Obj
-                   [
-                     ("seed", num seed);
-                     ( "rates",
-                       Json.Obj (List.map (fun (s, p) -> (s, Json.Num p)) rates)
-                     );
-                   ] );
+             Option.fold ~none:Json.Null ~some:Fault.config_to_json r.fault );
            ("text", Json.Str r.text);
-           ("gen", num r.gen);
+           ("gen", Json.int r.gen);
          ]))
 
   let of_json line =
@@ -198,37 +179,11 @@ module Quarantine = struct
           | Some p -> Ok p
           | None -> Error (Printf.sprintf "unknown pruning %S" pruning_name)
         in
-        let opt_int obj name =
-          Option.bind (Json.member name obj) Json.to_int
-        in
         let budget =
-          match Json.member "budget" j with
-          | Some (Json.Obj _ as b) ->
-              {
-                Budget.timeout_ms = opt_int b "timeout_ms";
-                max_bytes = opt_int b "max_bytes";
-                max_candidates = opt_int b "max_candidates";
-              }
-          | _ -> Budget.spec_unlimited
+          Option.fold ~none:Budget.spec_unlimited ~some:Budget.spec_of_json
+            (Json.member "budget" j)
         in
-        let fault =
-          match Json.member "fault" j with
-          | Some (Json.Obj _ as f) ->
-              Option.map
-                (fun seed ->
-                  let rates =
-                    match Json.member "rates" f with
-                    | Some (Json.Obj kvs) ->
-                        List.filter_map
-                          (fun (site, v) ->
-                            Option.map (fun p -> (site, p)) (Json.to_num v))
-                          kvs
-                    | _ -> []
-                  in
-                  { Fault.seed; rates })
-                (opt_int f "seed")
-          | _ -> None
-        in
+        let fault = Option.bind (Json.member "fault" j) Fault.config_of_json in
         let* text = field "text" Json.to_str in
         (* Records from before dynamic dictionaries carry no generation:
            they were written against the only generation there was, 0. *)

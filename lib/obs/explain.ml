@@ -259,51 +259,49 @@ let render ?(top = 5) ?(name_of = fun id -> Printf.sprintf "e%d" id) t =
 
 (* ---- JSONL export ---- *)
 
-let to_jsonl t =
-  let buf = Buffer.create (t.n_events * 48) in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  List.iter
-    (fun ev ->
-      (match ev with
-      | Doc { doc_id } -> add "{\"ev\":\"doc\",\"doc_id\":%d}" doc_id
-      | Entity { entity; e_len; n_positions } ->
-          add "{\"ev\":\"entity\",\"entity\":%d,\"e_len\":%d,\"positions\":%d}"
-            entity e_len n_positions
-      | Pruned { entity; reason = Lazy_bound { tl; count } } ->
-          add "{\"ev\":\"pruned\",\"entity\":%d,\"reason\":\"lazy\",\"tl\":%d,\"count\":%d}"
-            entity tl count
-      | Pruned { entity; reason = Bucket_pruned } ->
-          add "{\"ev\":\"pruned\",\"entity\":%d,\"reason\":\"bucket\"}" entity
-      | Pruned { entity; reason = Span_pruned } ->
-          add "{\"ev\":\"pruned\",\"entity\":%d,\"reason\":\"span\"}" entity
-      | Pruned { entity; reason = Shift_jumped n } ->
-          add "{\"ev\":\"pruned\",\"entity\":%d,\"reason\":\"shift\",\"jump\":%d}"
-            entity n
-      | Window { entity; first; last } ->
-          add "{\"ev\":\"window\",\"entity\":%d,\"first\":%d,\"last\":%d}" entity
-            first last
-      | Window_skip { entity; reason = Span_pruned } ->
-          add "{\"ev\":\"window_skip\",\"entity\":%d,\"reason\":\"span\"}" entity
-      | Window_skip { entity; reason = Shift_jumped n } ->
-          add "{\"ev\":\"window_skip\",\"entity\":%d,\"reason\":\"shift\",\"jump\":%d}"
-            entity n
-      | Window_skip { entity; reason = Lazy_bound { tl; count } } ->
-          add "{\"ev\":\"window_skip\",\"entity\":%d,\"reason\":\"lazy\",\"tl\":%d,\"count\":%d}"
-            entity tl count
-      | Window_skip { entity; reason = Bucket_pruned } ->
-          add "{\"ev\":\"window_skip\",\"entity\":%d,\"reason\":\"bucket\"}" entity
-      | Candidate { entity; start; len; count; t; survived } ->
-          add
-            "{\"ev\":\"candidate\",\"entity\":%d,\"start\":%d,\"len\":%d,\"count\":%d,\"t\":%d,\"survived\":%b}"
-            entity start len count t survived
-      | Filter_done { survivors } ->
-          add "{\"ev\":\"filter_done\",\"survivors\":%d}" survivors
-      | Verifier { choice } -> add "{\"ev\":\"verifier\",\"choice\":%S}" choice
-      | Verify { entity; start; len; matched } ->
-          add "{\"ev\":\"verify\",\"entity\":%d,\"start\":%d,\"len\":%d,\"matched\":%b}"
-            entity start len matched
-      | Selection { total; kept } ->
-          add "{\"ev\":\"selection\",\"total\":%d,\"kept\":%d}" total kept);
-      Buffer.add_char buf '\n')
-    (events t);
-  Buffer.contents buf
+let int k v = (k, Json.int v)
+
+let reason_fields = function
+  | Lazy_bound { tl; count } ->
+      [ ("reason", Json.Str "lazy"); int "tl" tl; int "count" count ]
+  | Bucket_pruned -> [ ("reason", Json.Str "bucket") ]
+  | Span_pruned -> [ ("reason", Json.Str "span") ]
+  | Shift_jumped n -> [ ("reason", Json.Str "shift"); int "jump" n ]
+
+let event_to_json ev =
+  let obj name fields = Json.Obj (("ev", Json.Str name) :: fields) in
+  match ev with
+  | Doc { doc_id } -> obj "doc" [ int "doc_id" doc_id ]
+  | Entity { entity; e_len; n_positions } ->
+      obj "entity"
+        [ int "entity" entity; int "e_len" e_len; int "positions" n_positions ]
+  | Pruned { entity; reason } ->
+      obj "pruned" (int "entity" entity :: reason_fields reason)
+  | Window { entity; first; last } ->
+      obj "window" [ int "entity" entity; int "first" first; int "last" last ]
+  | Window_skip { entity; reason } ->
+      obj "window_skip" (int "entity" entity :: reason_fields reason)
+  | Candidate { entity; start; len; count; t; survived } ->
+      obj "candidate"
+        [
+          int "entity" entity;
+          int "start" start;
+          int "len" len;
+          int "count" count;
+          int "t" t;
+          ("survived", Json.Bool survived);
+        ]
+  | Filter_done { survivors } -> obj "filter_done" [ int "survivors" survivors ]
+  | Verifier { choice } -> obj "verifier" [ ("choice", Json.Str choice) ]
+  | Verify { entity; start; len; matched } ->
+      obj "verify"
+        [
+          int "entity" entity;
+          int "start" start;
+          int "len" len;
+          ("matched", Json.Bool matched);
+        ]
+  | Selection { total; kept } ->
+      obj "selection" [ int "total" total; int "kept" kept ]
+
+let to_jsonl t = Json.to_lines (List.map event_to_json (events t))

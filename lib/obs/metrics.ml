@@ -487,75 +487,151 @@ let reset ?(registry = default) () =
             sh.hists)
         registry.shards)
 
-(* %.17g round-trips every float; trim the common integral case so counters
-   of observations read naturally ("5" not "5.0000000000000000"). *)
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
+(* ---- JSON ---- *)
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+(* upper, counts, sum, count: the body all three JSON forms of a
+   histogram share. *)
+let hist_body h =
+  [
+    ( "upper",
+      Json.List (Array.to_list (Array.map (fun f -> Json.Num f) h.upper)) );
+    ("counts", Json.List (Array.to_list (Array.map Json.int h.counts)));
+    ("sum", Json.Num h.sum);
+    ("count", Json.int h.count);
+  ]
+
+(* The readable exemplar list: one cell per bucket that holds one
+   (jq: .histograms.doc_wall_ns.exemplars[] links a bucket to the trace
+   id of its slowest observation), absent when none does, so untraced
+   histograms keep the locked schema. *)
+let exemplars_field h =
+  let cells = ref [] in
+  Array.iteri
+    (fun i (t, v) ->
+      if t <> 0 then
+        cells :=
+          Json.Obj
+            [ ("i", Json.int i); ("trace", Json.int t); ("value", Json.Num v) ]
+          :: !cells)
+    h.exemplars;
+  match List.rev !cells with
+  | [] -> []
+  | cells -> [ ("exemplars", Json.List cells) ]
+
+let counters_json snap =
+  Json.Obj (List.map (fun (n, v) -> (n, Json.int v)) snap.counters)
 
 let render_jsonl snap =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (name, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "{\"type\":\"counter\",\"name\":%s,\"value\":%d}\n"
-           (json_string name) v))
-    snap.counters;
-  List.iter
-    (fun (name, g) ->
-      Buffer.add_string buf
-        (Printf.sprintf "{\"type\":\"gauge\",\"name\":%s,\"value\":%s}\n"
-           (json_string name) (json_float g.value)))
-    snap.gauges;
-  List.iter
-    (fun (name, h) ->
-      let arr f a =
-        "[" ^ String.concat "," (Array.to_list (Array.map f a)) ^ "]"
-      in
-      (* Exemplars render only when some bucket has one, so the locked
-         histogram line schema is unchanged for untraced registries. *)
-      let ex =
-        if Array.length h.exemplars = 0 then ""
-        else
-          let cells = ref [] in
-          Array.iteri
-            (fun i (t, v) ->
-              if t <> 0 then
-                cells :=
-                  Printf.sprintf "{\"i\":%d,\"trace\":%d,\"value\":%s}" i t
-                    (json_float v)
-                  :: !cells)
-            h.exemplars;
-          if !cells = [] then ""
-          else
-            Printf.sprintf ",\"exemplars\":[%s]"
-              (String.concat "," (List.rev !cells))
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"type\":\"histogram\",\"name\":%s,\"upper\":%s,\"counts\":%s,\"sum\":%s,\"count\":%d%s}\n"
-           (json_string name) (arr json_float h.upper) (arr string_of_int h.counts)
-           (json_float h.sum) h.count ex))
-    snap.histograms;
-  Buffer.contents buf
+  let line typ (name, rest) =
+    Json.Obj (("type", Json.Str typ) :: ("name", Json.Str name) :: rest)
+  in
+  Json.to_lines
+    (List.map (fun (n, v) -> line "counter" (n, [ ("value", Json.int v) ]))
+       snap.counters
+    @ List.map (fun (n, g) -> line "gauge" (n, [ ("value", Json.Num g.value) ]))
+        snap.gauges
+    @ List.map
+        (fun (n, h) -> line "histogram" (n, hist_body h @ exemplars_field h))
+        snap.histograms)
+
+let snapshot_json snap =
+  let hist (n, h) = (n, Json.Obj (hist_body h @ exemplars_field h)) in
+  Json.Obj
+    [
+      ("counters", counters_json snap);
+      ( "gauges",
+        Json.Obj (List.map (fun (n, g) -> (n, Json.Num g.value)) snap.gauges) );
+      ("histograms", Json.Obj (List.map hist snap.histograms));
+    ]
+
+(* The wire form keeps what merging needs: a gauge's agg mode and label,
+   and every exemplar cell as a [trace, value] pair ("ex", absent when
+   the histogram never saw a traced observation). *)
+let snapshot_to_wire snap =
+  let gauge (n, g) =
+    ( n,
+      Json.Obj
+        ([
+           ("v", Json.Num g.value);
+           ("agg", Json.Str (match g.agg with `Sum -> "sum" | `Max -> "max"));
+         ]
+        @
+        match g.label with
+        | None -> []
+        | Some (family, key, value) ->
+            [
+              ( "label",
+                Json.List [ Json.Str family; Json.Str key; Json.Str value ] );
+            ]) )
+  in
+  let hist (n, h) =
+    ( n,
+      Json.Obj
+        (hist_body h
+        @
+        match h.exemplars with
+        | [||] -> []
+        | ex ->
+            let cell (t, v) = Json.List [ Json.int t; Json.Num v ] in
+            [ ("ex", Json.List (Array.to_list (Array.map cell ex))) ]) )
+  in
+  Json.Obj
+    [
+      ("counters", counters_json snap);
+      ("gauges", Json.Obj (List.map gauge snap.gauges));
+      ("histograms", Json.Obj (List.map hist snap.histograms));
+    ]
+
+let snapshot_of_wire j =
+  let ( let* ) = Option.bind in
+  let field name conv obj = Option.bind (Json.member name obj) conv in
+  let gauge gj =
+    let* value = field "v" Json.to_num gj in
+    let* agg =
+      match field "agg" Json.to_str gj with
+      | Some "sum" -> Some `Sum
+      | Some "max" -> Some `Max
+      | _ -> None
+    in
+    let* label =
+      match Json.member "label" gj with
+      | None -> Some None
+      | Some (Json.List [ Json.Str f; Json.Str k; Json.Str v ]) ->
+          Some (Some (f, k, v))
+      | Some _ -> None
+    in
+    Some { value; agg; label }
+  in
+  let hist hj =
+    let* upper = field "upper" (Json.list_of Json.to_num) hj in
+    let* counts = field "counts" (Json.list_of Json.to_int) hj in
+    let* sum = field "sum" Json.to_num hj in
+    let* count = field "count" Json.to_int hj in
+    let cell = function
+      | Json.List [ t; v ] -> (
+          match (Json.to_int t, Json.to_num v) with
+          | Some t, Some v -> Some (t, v)
+          | _ -> None)
+      | _ -> None
+    in
+    let* exemplars =
+      match Json.member "ex" hj with
+      | None -> Some []
+      | Some ex -> Json.list_of cell ex
+    in
+    Some
+      {
+        upper = Array.of_list upper;
+        counts = Array.of_list counts;
+        sum;
+        count;
+        exemplars = Array.of_list exemplars;
+      }
+  in
+  let* counters = field "counters" (Json.fields_of Json.to_int) j in
+  let* gauges = field "gauges" (Json.fields_of gauge) j in
+  let* histograms = field "histograms" (Json.fields_of hist) j in
+  Some { counters; gauges; histograms }
 
 let to_jsonl ?(registry = default) () = render_jsonl (snapshot ~registry ())
 
@@ -572,15 +648,6 @@ let prom_escape_help s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
-
-(* Float rendering for exposition-format sample values and [le] labels.
-   Deliberately decoupled from [json_float]: Prometheus conventions
-   (shortest round-trip decimal, integral bounds without a fraction part)
-   must not drift if the JSON formatter changes. *)
-let prom_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
 
 (* Label values additionally escape double quotes (they are quoted in the
    exposition format, unlike HELP text). *)
@@ -627,7 +694,8 @@ let render_prometheus ?(registry = default) snap =
       match g.label with
       | None ->
           header name "gauge";
-          Buffer.add_string buf (Printf.sprintf "%s %s\n" name (prom_float g.value))
+          Buffer.add_string buf
+            (Printf.sprintf "%s %s\n" name (Json.float_text g.value))
       | Some (family, key, value) ->
           if not (Hashtbl.mem family_headered family) then begin
             Hashtbl.add family_headered family ();
@@ -635,7 +703,7 @@ let render_prometheus ?(registry = default) snap =
           end;
           Buffer.add_string buf
             (Printf.sprintf "%s{%s=\"%s\"} %s\n" family key
-               (prom_escape_label value) (prom_float g.value)))
+               (prom_escape_label value) (Json.float_text g.value)))
     snap.gauges;
   List.iter
     (fun (name, h) ->
@@ -647,7 +715,8 @@ let render_prometheus ?(registry = default) snap =
         if i < Array.length h.exemplars then
           match h.exemplars.(i) with
           | 0, _ -> ""
-          | t, v -> Printf.sprintf " # {trace_id=\"%d\"} %s" t (prom_float v)
+          | t, v ->
+              Printf.sprintf " # {trace_id=\"%d\"} %s" t (Json.float_text v)
         else ""
       in
       let cum = ref 0 in
@@ -656,13 +725,14 @@ let render_prometheus ?(registry = default) snap =
           cum := !cum + c;
           Buffer.add_string buf
             (Printf.sprintf "%s_bucket{le=\"%s\"} %d%s\n" name
-               (prom_float h.upper.(i)) !cum (exemplar i)))
+               (Json.float_text h.upper.(i)) !cum (exemplar i)))
         (Array.sub h.counts 0 (Array.length h.upper));
       cum := !cum + h.counts.(Array.length h.upper);
       Buffer.add_string buf
         (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d%s\n" name !cum
            (exemplar (Array.length h.upper)));
-      Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" name (prom_float h.sum));
+      Buffer.add_string buf
+        (Printf.sprintf "%s_sum %s\n" name (Json.float_text h.sum));
       Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name h.count))
     snap.histograms;
   Buffer.contents buf

@@ -16,9 +16,12 @@
     domain. Registering the same name twice returns the same metric (the
     kinds must agree).
 
-    Snapshots export as JSON-lines ({!to_jsonl}, one object per metric) and
-    Prometheus text ({!to_prometheus}). Both list metrics in registration
-    order, so output is deterministic for a given binary.
+    Snapshots export as JSON-lines ({!to_jsonl}, one object per metric),
+    as one display object ({!snapshot_json}), as a full-fidelity wire
+    object ({!snapshot_to_wire}) and as Prometheus text
+    ({!to_prometheus}). All list metrics in registration order, so output
+    is deterministic for a given binary. Numbers follow
+    {!Json.float_text}, in Prometheus text too.
 
     The [default] registry is the one all library instrumentation writes
     to; {!create} builds private registries for tests. *)
@@ -171,6 +174,26 @@ val gauge_value : snapshot -> string -> float
 val render_jsonl : snapshot -> string
 (** Render an arbitrary snapshot (e.g. a {!merge_snapshots} result) in the
     {!to_jsonl} schema. *)
+
+val snapshot_json : snapshot -> Json.t
+(** The display form, the locked schema of the admin plane and the serve
+    summary ([jq '.metrics.counters.X'] works on it):
+    {v
+    {"counters":{N:V,...},"gauges":{N:V,...},
+     "histograms":{N:{"upper":[...],"counts":[...],"sum":S,"count":C},...}}
+    v}
+    A histogram with traced observations adds
+    ["exemplars":[{"i":BUCKET,"trace":T,"value":V},...]], as the
+    {!to_jsonl} line does. *)
+
+val snapshot_to_wire : snapshot -> Json.t
+(** The full-fidelity form shard frames carry: gauges keep their agg
+    mode and Prometheus label, histograms every exemplar cell, so a
+    coordinator can {!merge_snapshots} shard snapshots without access to
+    the shards' registries. *)
+
+val snapshot_of_wire : Json.t -> snapshot option
+(** Inverse of {!snapshot_to_wire}; [None] on any malformed part. *)
 
 val render_prometheus : ?registry:registry -> snapshot -> string
 (** Render an arbitrary snapshot in the {!to_prometheus} format. [registry]

@@ -33,234 +33,6 @@ let quantile (h : Metrics.histogram_snapshot) q =
     !result
   end
 
-(* ---- minimal JSON ---- *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Fail of int * string
-
-  let parse (s : string) : (t, string) result =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Fail (!pos, msg)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let skip_ws () =
-      while
-        !pos < n
-        && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        advance ()
-      done
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %C" c)
-    in
-    let literal word value =
-      let l = String.length word in
-      if !pos + l <= n && String.sub s !pos l = word then begin
-        pos := !pos + l;
-        value
-      end
-      else fail (Printf.sprintf "expected %s" word)
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec loop () =
-        if !pos >= n then fail "unterminated string";
-        let c = s.[!pos] in
-        advance ();
-        match c with
-        | '"' -> Buffer.contents buf
-        | '\\' -> (
-            if !pos >= n then fail "unterminated escape";
-            let e = s.[!pos] in
-            advance ();
-            match e with
-            | '"' -> Buffer.add_char buf '"'; loop ()
-            | '\\' -> Buffer.add_char buf '\\'; loop ()
-            | '/' -> Buffer.add_char buf '/'; loop ()
-            | 'n' -> Buffer.add_char buf '\n'; loop ()
-            | 't' -> Buffer.add_char buf '\t'; loop ()
-            | 'r' -> Buffer.add_char buf '\r'; loop ()
-            | 'b' -> Buffer.add_char buf '\b'; loop ()
-            | 'f' -> Buffer.add_char buf '\012'; loop ()
-            | 'u' ->
-                if !pos + 4 > n then fail "truncated \\u escape";
-                let hex = String.sub s !pos 4 in
-                pos := !pos + 4;
-                let code =
-                  match int_of_string_opt ("0x" ^ hex) with
-                  | Some c -> c
-                  | None -> fail "bad \\u escape"
-                in
-                (* Encode the code point as UTF-8 (BMP only; surrogate
-                   pairs in bench files don't occur — we never write
-                   them). *)
-                if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char buf
-                    (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end;
-                loop ()
-            | _ -> fail "unknown escape")
-        | c -> Buffer.add_char buf c; loop ()
-      in
-      loop ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let numchar c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && numchar s.[!pos] do
-        advance ()
-      done;
-      let tok = String.sub s start (!pos - start) in
-      match float_of_string_opt tok with
-      | Some f -> Num f
-      | None -> fail (Printf.sprintf "bad number %S" tok)
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '"' -> Str (parse_string ())
-      | Some '{' -> parse_obj ()
-      | Some '[' -> parse_arr ()
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some ('-' | '0' .. '9') -> parse_number ()
-      | Some c -> fail (Printf.sprintf "unexpected %C" c)
-    and parse_obj () =
-      expect '{';
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let fields = ref [] in
-        let rec loop () =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          fields := (key, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); loop ()
-          | Some '}' -> advance ()
-          | _ -> fail "expected ',' or '}'"
-        in
-        loop ();
-        Obj (List.rev !fields)
-      end
-    and parse_arr () =
-      expect '[';
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let items = ref [] in
-        let rec loop () =
-          let v = parse_value () in
-          items := v :: !items;
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); loop ()
-          | Some ']' -> advance ()
-          | _ -> fail "expected ',' or ']'"
-        in
-        loop ();
-        Arr (List.rev !items)
-      end
-    in
-    match
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then fail "trailing input";
-      v
-    with
-    | v -> Ok v
-    | exception Fail (at, msg) ->
-        Error (Printf.sprintf "JSON parse error at byte %d: %s" at msg)
-
-  let escape_string s =
-    let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-
-  let number_to_string v =
-    if Float.is_nan v then "null"
-    else if Float.is_integer v && Float.abs v < 1e15 then
-      Printf.sprintf "%.0f" v
-    else Printf.sprintf "%.17g" v
-
-  let rec to_string = function
-    | Null -> "null"
-    | Bool b -> if b then "true" else "false"
-    | Num v -> number_to_string v
-    | Str s -> escape_string s
-    | Arr items -> "[" ^ String.concat "," (List.map to_string items) ^ "]"
-    | Obj fields ->
-        "{"
-        ^ String.concat ","
-            (List.map
-               (fun (k, v) -> escape_string k ^ ":" ^ to_string v)
-               fields)
-        ^ "}"
-
-  let member key = function
-    | Obj fields -> List.assoc_opt key fields
-    | _ -> None
-
-  let to_float = function Num v -> Some v | _ -> None
-
-  let to_int = function
-    | Num v when Float.is_integer v -> Some (int_of_float v)
-    | _ -> None
-
-  let to_str = function Str s -> Some s | _ -> None
-
-  let to_list = function Arr items -> Some items | _ -> None
-end
-
 (* ---- bench snapshots ---- *)
 
 type gc = {
@@ -298,8 +70,6 @@ type bench = {
 }
 
 let schema_version = "faerie-bench-v2"
-
-let schema_v1 = "faerie-bench-v1"
 
 let exhibit_of_snapshot ~name ~wall_s (snap : Metrics.snapshot) =
   let c n = Metrics.counter_value snap n in
@@ -349,33 +119,22 @@ let exhibit_of_snapshot ~name ~wall_s (snap : Metrics.snapshot) =
     gc;
   }
 
-let num_or_null v = if Float.is_nan v then Json.Null else Json.Num v
-
 let json_of_exhibit (e : exhibit) =
+  let pcts a b c =
+    Json.Obj [ ("p50", Json.Num a); ("p90", Json.Num b); ("p99", Json.Num c) ]
+  in
   Json.Obj
     [
       ("name", Json.Str e.ex_name);
       ("wall_s", Json.Num e.wall_s);
-      ("tokens", Json.Num (float_of_int e.tokens));
+      ("tokens", Json.int e.tokens);
       ("tokens_per_s", Json.Num e.tokens_per_s);
-      ("candidates", Json.Num (float_of_int e.candidates));
-      ("pruned", Json.Num (float_of_int e.pruned));
-      ("verify_calls", Json.Num (float_of_int e.verify_calls));
-      ("matches", Json.Num (float_of_int e.matches));
-      ( "doc_wall_ns",
-        Json.Obj
-          [
-            ("p50", num_or_null e.p50_ns);
-            ("p90", num_or_null e.p90_ns);
-            ("p99", num_or_null e.p99_ns);
-          ] );
-      ( "alloc_per_doc",
-        Json.Obj
-          [
-            ("p50", num_or_null e.a50_w);
-            ("p90", num_or_null e.a90_w);
-            ("p99", num_or_null e.a99_w);
-          ] );
+      ("candidates", Json.int e.candidates);
+      ("pruned", Json.int e.pruned);
+      ("verify_calls", Json.int e.verify_calls);
+      ("matches", Json.int e.matches);
+      ("doc_wall_ns", pcts e.p50_ns e.p90_ns e.p99_ns);
+      ("alloc_per_doc", pcts e.a50_w e.a90_w e.a99_w);
       ( "gc",
         match e.gc with
         | None -> Json.Null
@@ -384,51 +143,45 @@ let json_of_exhibit (e : exhibit) =
               [
                 ("minor_words", Json.Num g.minor_words);
                 ("promoted_words", Json.Num g.promoted_words);
-                ( "major_collections",
-                  Json.Num (float_of_int g.major_collections) );
-                ("top_heap_bytes", Json.Num (float_of_int g.top_heap_bytes));
+                ("major_collections", Json.int g.major_collections);
+                ("top_heap_bytes", Json.int g.top_heap_bytes);
                 ("words_per_token", Json.Num g.words_per_token);
               ] );
     ]
 
 let bench_to_json (b : bench) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"schema\":%s,\"git_rev\":%s,\"scale\":%s,\"ocaml\":%s,\"exhibits\":[\n"
-       (Json.escape_string b.schema)
-       (Json.escape_string b.git_rev)
-       (Json.number_to_string b.scale)
-       (Json.escape_string b.ocaml));
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (Json.to_string (json_of_exhibit e)))
-    b.exhibits;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  Json.to_string ~lines:true
+    (Json.Obj
+       [
+         ("schema", Json.Str b.schema);
+         ("git_rev", Json.Str b.git_rev);
+         ("scale", Json.Num b.scale);
+         ("ocaml", Json.Str b.ocaml);
+         ("exhibits", Json.List (List.map json_of_exhibit b.exhibits));
+       ])
+  ^ "\n"
 
 let exhibit_of_json j =
   let ( let* ) = Option.bind in
   let* name = Option.bind (Json.member "name" j) Json.to_str in
-  let* wall_s = Option.bind (Json.member "wall_s" j) Json.to_float in
+  let* wall_s = Option.bind (Json.member "wall_s" j) Json.to_num in
   let int_field k = Option.bind (Json.member k j) Json.to_int in
   let* tokens = int_field "tokens" in
-  let* tokens_per_s = Option.bind (Json.member "tokens_per_s" j) Json.to_float in
+  let* tokens_per_s = Option.bind (Json.member "tokens_per_s" j) Json.to_num in
   let* candidates = int_field "candidates" in
   let* pruned = int_field "pruned" in
   let* verify_calls = int_field "verify_calls" in
   let* matches = int_field "matches" in
   let pct block k =
     match Option.bind (Json.member block j) (Json.member k) with
-    | Some (Json.Num v) -> v
-    | _ -> nan
+    | Some v -> Option.value ~default:nan (Json.to_num v)
+    | None -> nan
   in
-  (* v1 exhibits have neither block: percentiles decay to nan, gc to None. *)
   let gc =
     match Json.member "gc" j with
     | Some (Json.Obj _ as g) ->
         let f k =
-          Option.value ~default:0. (Option.bind (Json.member k g) Json.to_float)
+          Option.value ~default:0. (Option.bind (Json.member k g) Json.to_num)
         in
         let i k =
           Option.value ~default:0 (Option.bind (Json.member k g) Json.to_int)
@@ -463,22 +216,21 @@ let exhibit_of_json j =
     }
 
 let bench_of_json s =
-  match Json.parse s with
+  match Json.of_string s with
   | Error e -> Error e
   | Ok j -> (
       match Option.bind (Json.member "schema" j) Json.to_str with
       | None -> Error "missing \"schema\" field"
-      | Some v when v <> schema_version && v <> schema_v1 ->
+      | Some v when v <> schema_version ->
           Error
-            (Printf.sprintf "unsupported schema %S (want %S or %S)" v
-               schema_version schema_v1)
+            (Printf.sprintf "unsupported schema %S (want %S)" v schema_version)
       | Some schema -> (
           let str_field k ~default =
             Option.value ~default (Option.bind (Json.member k j) Json.to_str)
           in
           let scale =
             Option.value ~default:1.0
-              (Option.bind (Json.member "scale" j) Json.to_float)
+              (Option.bind (Json.member "scale" j) Json.to_num)
           in
           match Option.bind (Json.member "exhibits" j) Json.to_list with
           | None -> Error "missing \"exhibits\" array"
@@ -530,7 +282,7 @@ let compare_benches ?(max_ratio = 1.5) ?max_alloc_ratio ~baseline ~current () =
               else 1.
             in
             (* Allocation gate on minor words (the bulk of allocation and
-               the least noisy GC stat). A v1/no-gc baseline cannot gate;
+               the least noisy GC stat). A no-gc baseline cannot gate;
                a baseline with gc but a current without it means
                profiling silently went dark — fail loudly. *)
             let alloc_ratio, alloc_regressed =

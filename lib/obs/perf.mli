@@ -1,10 +1,8 @@
 (** Machine-readable performance snapshots.
 
-    Three pieces: percentile estimation over {!Metrics.histogram_snapshot},
-    a minimal JSON codec (the library stack has no JSON dependency), and
-    the [faerie-bench-v2] snapshot schema written by [bench --json] and
-    compared by [faerie_cli regress] (v1 snapshots still parse — their gc
-    and allocation fields decay to absent). *)
+    Two pieces: percentile estimation over {!Metrics.histogram_snapshot},
+    and the [faerie-bench-v2] snapshot schema written by [bench --json]
+    and compared by [faerie_cli regress], encoded with {!Json}. *)
 
 val quantile : Metrics.histogram_snapshot -> float -> float
 (** [quantile h q] estimates the [q]-quantile ([0. <= q <= 1.]) of the
@@ -14,38 +12,6 @@ val quantile : Metrics.histogram_snapshot -> float -> float
     its lower bound — the histogram carries no upper limit there).
     Returns [nan] when the histogram is empty.
     @raise Invalid_argument if [q] is outside [0., 1.]. *)
-
-(** {1 Minimal JSON} *)
-
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val parse : string -> (t, string) result
-  (** Strict parser for the JSON this library itself writes (objects,
-      arrays, strings with the common escapes, numbers, booleans, null).
-      Errors carry a byte offset. Trailing whitespace is allowed; any
-      other trailing input is an error. *)
-
-  val to_string : t -> string
-  (** Compact (no whitespace) rendering. Object fields keep their order. *)
-
-  val member : string -> t -> t option
-  (** Field lookup; [None] on missing field or non-object. *)
-
-  val to_float : t -> float option
-
-  val to_int : t -> int option
-
-  val to_str : t -> string option
-
-  val to_list : t -> t list option
-end
 
 (** {1 Bench snapshots (schema [faerie-bench-v2])} *)
 
@@ -73,12 +39,12 @@ type exhibit = {
   p99_ns : float;  (** [null]) when no document timings were recorded *)
   a50_w : float;  (** per-document allocated-words percentiles from the *)
   a90_w : float;  (** [doc_alloc_words] histogram; [nan]/[null] when *)
-  a99_w : float;  (** profiling was off or the snapshot is v1 *)
+  a99_w : float;  (** profiling was off *)
   gc : gc option;
 }
 
 type bench = {
-  schema : string;  (** ["faerie-bench-v2"] (or ["faerie-bench-v1"] parsed) *)
+  schema : string;  (** ["faerie-bench-v2"] *)
   git_rev : string;
   scale : float;  (** [FAERIE_SCALE] in effect *)
   ocaml : string;  (** [Sys.ocaml_version] *)
@@ -87,9 +53,6 @@ type bench = {
 
 val schema_version : string
 (** ["faerie-bench-v2"], the schema written by {!bench_to_json}. *)
-
-val schema_v1 : string
-(** ["faerie-bench-v1"], still accepted by {!bench_of_json}. *)
 
 val exhibit_of_snapshot :
   name:string -> wall_s:float -> Metrics.snapshot -> exhibit
@@ -111,9 +74,8 @@ val bench_to_json : bench -> string
     v} *)
 
 val bench_of_json : string -> (bench, string) result
-(** Inverse of {!bench_to_json} (accepts any field order); accepts
-    {!schema_version} and {!schema_v1} (v1 exhibits parse with [nan]
-    allocation percentiles and [gc = None]); rejects anything else. *)
+(** Inverse of {!bench_to_json} (accepts any field order); rejects any
+    schema but {!schema_version}. *)
 
 (** {1 Regression comparison} *)
 
@@ -148,7 +110,7 @@ val compare_benches :
     Exhibits only in [current] are ignored (new exhibits are not
     regressions); exhibits only in [baseline] are reported missing and
     count as a regression. [max_alloc_ratio] additionally gates the
-    minor-words allocation ratio: a v1/no-gc {e baseline} exempts the
+    minor-words allocation ratio: a no-gc {e baseline} exempts the
     exhibit (nothing to compare against), but a baseline {e with} gc data
     and a current without it fails — the profiling went dark. *)
 

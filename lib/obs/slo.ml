@@ -251,24 +251,30 @@ let assess ?now_s t objective (snap : Metrics.snapshot) =
 
 (* ---- rendering ---- *)
 
-let fopt = function
-  | None -> "null"
-  | Some v ->
-      if Float.is_nan v then "null"
-      else if Float.is_integer v && Float.abs v < 1e15 then
-        Printf.sprintf "%.0f" v
-      else Printf.sprintf "%.6g" v
-
 let to_json a =
-  Printf.sprintf
-    "{\"window_s\":%s,\"docs\":%d,\"latency\":{\"q\":%s,\"target_ms\":%s,\"measured_ms\":%s,\"bad_frac\":%s,\"burn\":%s},\"avail\":{\"target\":%s,\"measured\":%s,\"burn\":%s},\"burning\":%b}"
-    (fopt (Some a.window_s))
-    a.docs (fopt a.latency_q)
-    (fopt a.latency_target_ms)
-    (fopt a.latency_measured_ms)
-    (fopt a.latency_bad_frac)
-    (fopt a.burn_latency) (fopt a.avail_target) (fopt a.avail_measured)
-    (fopt a.burn_avail) a.burning
+  let opt = function Some v -> Json.Num v | None -> Json.Null in
+  Json.Obj
+    [
+      ("window_s", Json.Num a.window_s);
+      ("docs", Json.int a.docs);
+      ( "latency",
+        Json.Obj
+          [
+            ("q", opt a.latency_q);
+            ("target_ms", opt a.latency_target_ms);
+            ("measured_ms", opt a.latency_measured_ms);
+            ("bad_frac", opt a.latency_bad_frac);
+            ("burn", opt a.burn_latency);
+          ] );
+      ( "avail",
+        Json.Obj
+          [
+            ("target", opt a.avail_target);
+            ("measured", opt a.avail_measured);
+            ("burn", opt a.burn_avail);
+          ] );
+      ("burning", Json.Bool a.burning);
+    ]
 
 let render a =
   let parts = ref [] in

@@ -66,12 +66,12 @@ val fraction_le : Metrics.histogram_snapshot -> float -> float
     inside the bucket containing [x] (the dual of [Perf.quantile]);
     [nan] on an empty histogram. *)
 
-val to_json : assessment -> string
+val to_json : assessment -> Json.t
 (** One JSON object:
     [{"window_s":..,"docs":..,"latency":{"q":..,"target_ms":..,
     "measured_ms":..,"bad_frac":..,"burn":..},"avail":{"target":..,
-    "measured":..,"burn":..},"burning":..}] — absent measurements render
-    as [null]. *)
+    "measured":..,"burn":..},"burning":..}] — absent (and non-finite)
+    measurements render as [null]. *)
 
 val render : assessment -> string
 (** One human line for the stderr summary. *)

@@ -11,9 +11,9 @@
 
    - A bounded capture ring: the K slowest requests seen so far, plus
      write-through of every request over the slow threshold. Records are
-     pre-rendered NDJSON lines (the serve layer owns the schema — this
-     module must not depend on lib/core); over-threshold lines are
-     appended to the sink immediately as whole {!Append_log} records, as
+     JSON values built by the serve layer (which owns the schema — this
+     module must not depend on lib/core); over-threshold records are
+     appended to the sink immediately as whole {!Append_log} lines, as
      Supervisor.Quarantine does, and the below-threshold top-K remainder
      is flushed at disarm. *)
 
@@ -85,7 +85,7 @@ let last_doc () =
 
 (* ---- capture ring ---- *)
 
-type entry = { e_wall_ns : float; e_line : string; mutable e_written : bool }
+type entry = { e_wall_ns : float; e_record : Json.t; mutable e_written : bool }
 
 let ring_lock = Mutex.create ()
 
@@ -93,7 +93,7 @@ let ring : entry list ref = ref [] (* unordered; capacity is small *)
 
 let n_total = ref 0
 
-let write_line sink line = Append_log.append sink (line ^ "\n")
+let write sink record = Append_log.append sink (Json.to_lines [ record ])
 
 let ring_min () =
   List.fold_left (fun acc e -> Float.min acc e.e_wall_ns) Float.infinity !ring
@@ -113,7 +113,7 @@ let should_capture ~wall_ns =
               keep
             end)
 
-let capture ~wall_ns line =
+let capture ~wall_ns record =
   match Atomic.get state with
   | None -> ()
   | Some c when c.stages_only -> ()
@@ -121,13 +121,13 @@ let capture ~wall_ns line =
       Atomic.incr n_captures;
       let written =
         if wall_ns >= c.slow_ns then (
-          (match c.sink with Some s -> write_line s line | None -> ());
+          (match c.sink with Some s -> write s record | None -> ());
           true)
         else false
       in
       Mutex.lock ring_lock;
       incr n_total;
-      let e = { e_wall_ns = wall_ns; e_line = line; e_written = written } in
+      let e = { e_wall_ns = wall_ns; e_record = record; e_written = written } in
       let r = e :: !ring in
       let r =
         if List.length r <= c.capacity then r
@@ -150,7 +150,7 @@ let capture ~wall_ns line =
 
 let drain () =
   Mutex.lock ring_lock;
-  let l = List.map (fun e -> (e.e_wall_ns, e.e_line)) !ring in
+  let l = List.map (fun e -> (e.e_wall_ns, e.e_record)) !ring in
   Mutex.unlock ring_lock;
   List.sort (fun (a, _) (b, _) -> Float.compare b a) l
 
@@ -172,7 +172,7 @@ let flush () =
       in
       List.iter (fun e -> e.e_written <- true) pending;
       Mutex.unlock ring_lock;
-      List.iter (fun e -> write_line s e.e_line) pending
+      List.iter (fun e -> write s e.e_record) pending
   | _ -> ()
 
 let disarm () =

@@ -3,9 +3,9 @@
     Armed by [faerie serve --slow-ms T] / [--slowlog FILE]: keeps a
     bounded ring of the K slowest requests seen so far and writes every
     request over the threshold through to an NDJSON sink immediately
-    (one whole {!Append_log} record each, like the [Supervisor.Quarantine]
-    sink). Records are pre-rendered lines: the serve layer
-    owns the record schema, this module owns retention and the sink.
+    (one whole {!Append_log} line each, like the [Supervisor.Quarantine]
+    sink). Records are {!Json.t} values: the serve layer owns the record
+    schema, this module owns retention and the sink.
 
     When armed, [Prof.with_stage] brackets also feed per-stage wall time
     into a per-domain scratch ({!doc_begin} / {!note_stage} /
@@ -74,15 +74,15 @@ val stages : doc -> (string * float) list
 val should_capture : wall_ns:float -> bool
 (** Would a request with this wall time be retained? True when it
     crosses the threshold or beats the ring (or the ring has room).
-    Lets the caller skip rendering the record for fast requests. *)
+    Lets the caller skip building the record for fast requests. *)
 
-val capture : wall_ns:float -> string -> unit
-(** Retain a pre-rendered NDJSON record line (no trailing newline).
-    Over-threshold records are appended to the sink immediately;
-    ring-only records are flushed at {!disarm}. *)
+val capture : wall_ns:float -> Json.t -> unit
+(** Retain a record. Over-threshold records are appended to the sink
+    immediately as one NDJSON line; ring-only records are flushed at
+    {!disarm}. *)
 
-val drain : unit -> (float * string) list
-(** Current ring contents, slowest first, as [(wall_ns, line)]. Does
+val drain : unit -> (float * Json.t) list
+(** Current ring contents, slowest first, as [(wall_ns, record)]. Does
     not clear — the ring is a "K slowest so far" window, not a queue. *)
 
 val total : unit -> int

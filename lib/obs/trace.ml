@@ -208,37 +208,33 @@ let drain () =
 
 let reset () = ignore (drain ())
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+(* One span object, for the JSONL export and for shard frames alike.
+   Nanosecond fields are exact integers: wall-clock values (~1.7e18) lie
+   past 2^53, where a double would round them. *)
+let span_to_json s =
+  Json.Obj
+    [
+      ("name", Json.Str s.name);
+      ("start_ns", Json.Int s.start_ns);
+      ("dur_ns", Json.Int s.dur_ns);
+      ("depth", Json.int s.depth);
+      ("domain", Json.int s.domain);
+      ("trace", Json.int s.trace);
+      ("ok", Json.Bool s.ok);
+      ("attrs", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) s.attrs));
+    ]
 
-let to_jsonl spans =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun s ->
-      let attrs =
-        String.concat ","
-          (List.map
-             (fun (k, v) -> Printf.sprintf "%s:%s" (json_string k) (json_string v))
-             s.attrs)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%s,\"start_ns\":%Ld,\"dur_ns\":%Ld,\"depth\":%d,\"domain\":%d,\"trace\":%d,\"ok\":%b,\"attrs\":{%s}}\n"
-           (json_string s.name) s.start_ns s.dur_ns s.depth s.domain s.trace
-           s.ok attrs))
-    spans;
-  Buffer.contents buf
+let span_of_json j =
+  let ( let* ) = Option.bind in
+  let field name conv = Option.bind (Json.member name j) conv in
+  let* name = field "name" Json.to_str in
+  let* start_ns = field "start_ns" Json.to_int64 in
+  let* dur_ns = field "dur_ns" Json.to_int64 in
+  let* depth = field "depth" Json.to_int in
+  let* domain = field "domain" Json.to_int in
+  let* trace = field "trace" Json.to_int in
+  let* ok = field "ok" Json.to_bool in
+  let* attrs = field "attrs" (Json.fields_of Json.to_str) in
+  Some { name; start_ns; dur_ns; depth; domain; trace; ok; attrs }
+
+let to_jsonl spans = Json.to_lines (List.map span_to_json spans)

@@ -94,8 +94,17 @@ val drain_trace : int -> span list
 val reset : unit -> unit
 (** Drop buffered spans (keeps the enabled state and clock). *)
 
-val to_jsonl : span list -> string
-(** One JSON object per line, schema (locked by [test_obs]):
+val span_to_json : span -> Json.t
+(** One span, as the JSONL export writes it and shard frames carry it
+    (schema locked by [test_obs]):
     {v
     {"name":N,"start_ns":S,"dur_ns":D,"depth":P,"domain":I,"trace":T,"ok":B,"attrs":{...}}
-    v} *)
+    v}
+    The nanosecond fields are {!Json.Int}s, so a wall-clock timestamp
+    prints digit for digit. *)
+
+val span_of_json : Json.t -> span option
+(** Inverse of {!span_to_json}; [None] on any malformed field. *)
+
+val to_jsonl : span list -> string
+(** One {!span_to_json} object per line. *)

@@ -34,21 +34,14 @@ let pp ppf = function
 
 let to_string t = Format.asprintf "%a" pp t
 
-(* Shortest decimal rendering that parses back to exactly [d], so specs
-   embedded in quarantine records replay with the original threshold. *)
-let float_spec d =
-  let s = Printf.sprintf "%.12g" d in
-  if float_of_string s = d then s
-  else
-    let s = Printf.sprintf "%.15g" d in
-    if float_of_string s = d then s else Printf.sprintf "%.17g" d
-
-let to_spec = function
-  | Jaccard d -> Printf.sprintf "jac=%s" (float_spec d)
-  | Cosine d -> Printf.sprintf "cos=%s" (float_spec d)
-  | Dice d -> Printf.sprintf "dice=%s" (float_spec d)
+(* Thresholds print by the JSON number rule, which reads back as exactly
+   [d], so specs embedded in quarantine records replay with the original
+   threshold. *)
+let to_spec t =
+  match t with
   | Edit_distance tau -> Printf.sprintf "ed=%d" tau
-  | Edit_similarity d -> Printf.sprintf "eds=%s" (float_spec d)
+  | Jaccard d | Cosine d | Dice d | Edit_similarity d ->
+      name t ^ "=" ^ Faerie_util.Json.float_text d
 
 let of_spec s =
   let num f v =

@@ -23,6 +23,23 @@ let deadline_ns spec ~now_ns =
 let is_spec_unlimited s =
   s.timeout_ms = None && s.max_bytes = None && s.max_candidates = None
 
+let spec_to_json s =
+  let opt = function Some i -> Json.int i | None -> Json.Null in
+  Json.Obj
+    [
+      ("timeout_ms", opt s.timeout_ms);
+      ("max_bytes", opt s.max_bytes);
+      ("max_candidates", opt s.max_candidates);
+    ]
+
+let spec_of_json j =
+  let opt k = Option.bind (Json.member k j) Json.to_int in
+  {
+    timeout_ms = opt "timeout_ms";
+    max_bytes = opt "max_bytes";
+    max_candidates = opt "max_candidates";
+  }
+
 type t = {
   limited : bool;
   deadline : float;  (* absolute gettimeofday; infinity when unbounded *)

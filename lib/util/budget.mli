@@ -28,6 +28,13 @@ val spec_unlimited : spec
 
 val is_spec_unlimited : spec -> bool
 
+val spec_to_json : spec -> Json.t
+(** [{"timeout_ms":..,"max_bytes":..,"max_candidates":..}], [null] for
+    an absent limit — the ["budget"] object of repro records. *)
+
+val spec_of_json : Json.t -> spec
+(** Inverse of {!spec_to_json}; a missing or malformed limit is absent. *)
+
 val deadline_ns : spec -> now_ns:int64 -> int64 option
 (** [deadline_ns spec ~now_ns] is the absolute admission deadline
     [now_ns + timeout_ms] (in nanoseconds), or [None] when the spec has no

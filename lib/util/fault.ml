@@ -24,6 +24,26 @@ let active () = Atomic.get state <> None
 
 let current () = Atomic.get state
 
+let config_to_json c =
+  Json.Obj
+    [
+      ("seed", Json.int c.seed);
+      ( "rates",
+        Json.Obj (List.map (fun (site, p) -> (site, Json.Num p)) c.rates) );
+    ]
+
+let config_of_json j =
+  Option.map
+    (fun seed ->
+      let rate (site, v) = Option.map (fun p -> (site, p)) (Json.to_num v) in
+      let rates =
+        match Json.member "rates" j with
+        | Some (Json.Obj kvs) -> List.filter_map rate kvs
+        | _ -> []
+      in
+      { seed; rates })
+    (Option.bind (Json.member "seed" j) Json.to_int)
+
 let injected_count () = Atomic.get injected
 
 let reset_counts () = Atomic.set injected 0

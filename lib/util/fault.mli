@@ -42,6 +42,14 @@ val current : unit -> config option
     ({!Faerie_core.Supervisor}) capture it so a repro replays the exact
     fault schedule the document experienced. *)
 
+val config_to_json : config -> Json.t
+(** [{"seed":N,"rates":{SITE:P,...}}] — the ["fault"] object of repro
+    records. *)
+
+val config_of_json : Json.t -> config option
+(** Inverse of {!config_to_json}; [None] without an integer ["seed"]
+    (rates that are not numbers are dropped). *)
+
 val site : string -> unit
 (** [site name] raises {!Injected name} with the configured probability —
     but only when the registry is armed {e and} the calling domain is

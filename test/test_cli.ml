@@ -318,10 +318,11 @@ let test_extract_metrics_prom () =
       check_bool "histogram cells present" true
         (has_match "_bucket{le=\"\\+Inf\"}" lines))
 
+(* An unprofiled snapshot: no allocation percentiles, "gc":null. *)
 let bench_snapshot ~wall_s =
   Printf.sprintf
-    "{\"schema\":\"faerie-bench-v1\",\"git_rev\":\"test\",\"scale\":1,\"ocaml\":\"5.1.1\",\"exhibits\":[\n\
-     {\"name\":\"smoke\",\"wall_s\":%s,\"tokens\":100,\"tokens_per_s\":100,\"candidates\":10,\"pruned\":2,\"verify_calls\":8,\"matches\":3,\"doc_wall_ns\":{\"p50\":null,\"p90\":null,\"p99\":null}}\n\
+    "{\"schema\":\"faerie-bench-v2\",\"git_rev\":\"test\",\"scale\":1,\"ocaml\":\"5.1.1\",\"exhibits\":[\n\
+     {\"name\":\"smoke\",\"wall_s\":%s,\"tokens\":100,\"tokens_per_s\":100,\"candidates\":10,\"pruned\":2,\"verify_calls\":8,\"matches\":3,\"doc_wall_ns\":{\"p50\":null,\"p90\":null,\"p99\":null},\"alloc_per_doc\":{\"p50\":null,\"p90\":null,\"p99\":null},\"gc\":null}\n\
      ]}\n"
     wall_s
 
@@ -367,7 +368,7 @@ let test_regress_alloc_gate () =
       in
       let baseline = file "base.json" (bench_snapshot_v2 ~minor_words:"100000") in
       let bloated = file "bloat.json" (bench_snapshot_v2 ~minor_words:"200000") in
-      let v1 = file "v1.json" (bench_snapshot ~wall_s:"1.0") in
+      let no_gc = file "no_gc.json" (bench_snapshot ~wall_s:"1.0") in
       (* No alloc gate: a pure allocation regression passes the wall gate. *)
       let status, _ = run_cli [ "regress"; baseline; bloated ] in
       check_int "no gate ignores allocation" 0 (exit_code status);
@@ -381,14 +382,14 @@ let test_regress_alloc_gate () =
       in
       check_int "generous alloc gate tolerates 2x" 0 (exit_code status);
       check_bool "PASS line printed" true (has_match "^PASS" lines);
-      (* v1 baseline: nothing to gate against, even with the flag on. *)
+      (* unprofiled baseline: nothing to gate against, even with the flag on. *)
       let status, _ =
-        run_cli [ "regress"; v1; bloated; "--max-alloc-ratio"; "1.5" ]
+        run_cli [ "regress"; no_gc; bloated; "--max-alloc-ratio"; "1.5" ]
       in
-      check_int "v1 baseline exempt from alloc gate" 0 (exit_code status);
+      check_int "unprofiled baseline exempt from alloc gate" 0 (exit_code status);
       (* gc present in baseline but absent in current: gate must fail. *)
       let status, _ =
-        run_cli [ "regress"; baseline; v1; "--max-alloc-ratio"; "1.5" ]
+        run_cli [ "regress"; baseline; no_gc; "--max-alloc-ratio"; "1.5" ]
       in
       check_int "vanished gc fails the gate" 1 (exit_code status))
 
@@ -875,6 +876,47 @@ let test_fuzz_replay_gen_gate () =
       in
       check_int "matching --gen replays" 0 (exit_code status);
       check_bool "reproduces under the declared generation" true
+        (has_match "all 1 records reproduce" lines);
+      (* A compaction moves a single-process server to generation 1; a
+         document quarantined after it is stamped with the generation
+         that served it, as its response is. *)
+      let idx = Filename.concat dir "paper.fidx" in
+      let status, _ =
+        run_cli [ "index"; "-d"; dict; "-s"; "ed=2"; "-q"; "2"; "-o"; idx ]
+      in
+      check_int "index exit 0" 0 (exit_code status);
+      let input = Filename.concat dir "input-gen1.ndjson" in
+      write_file input
+        ("{\"op\":\"dict_add\",\"entity\":\"dong xin\"}\n"
+       ^ "{\"op\":\"compact\"}\n"
+       ^ "{\"text\":\"surauijt chadhuri\",\"id\":\"poison-b\"}\n");
+      let quarantine = Filename.concat dir "quarantine-gen1.ndjson" in
+      let status, out, _ =
+        run_cli_io ~dir ~stdin_file:input
+          [
+            "serve"; "-x"; idx; "-s"; "ed=2"; "-q"; "2"; "--domains"; "1";
+            "--wal"; Filename.concat dir "gen1.wal";
+            "--retries"; "1"; "--backoff-ms"; "0";
+            "--quarantine"; quarantine;
+            "--inject"; "7:supervisor_worker=1.0";
+          ]
+      in
+      check_int "serve exit 0" 0 (exit_code status);
+      check_bool "compaction reached generation 1" true
+        (has_match {|"op":"compact","outcome":"ok","gen":1|} out);
+      check_bool "the poison document was served at generation 1" true
+        (has_match {|"id":"poison-b","gen":1,"outcome":"quarantined"|} out);
+      let records = read_lines quarantine in
+      check_int "one quarantine record" 1 (List.length records);
+      check_bool "record stamped with the serving generation" true
+        (has_match {|"gen":1|} records);
+      let dict1 = Filename.concat dir "dict-gen1.txt" in
+      write_file dict1 (String.concat "\n" (read_lines dict @ [ "dong xin" ]) ^ "\n");
+      let status, lines =
+        run_fuzz [ "--replay=" ^ quarantine; "--dict=" ^ dict1; "--gen=1" ]
+      in
+      check_int "generation-1 record replays" 0 (exit_code status);
+      check_bool "reproduces at generation 1" true
         (has_match "all 1 records reproduce" lines))
 
 let () =

@@ -6,6 +6,7 @@ module Metrics = Faerie_obs.Metrics
 module Trace = Faerie_obs.Trace
 module Explain = Faerie_obs.Explain
 module Perf = Faerie_obs.Perf
+module Json = Faerie_obs.Json
 module Fault = Faerie_util.Fault
 module Sim = Faerie_sim.Sim
 module Core = Faerie_core
@@ -255,6 +256,23 @@ let test_trace_jsonl_schema () =
        domain domain)
     (Trace.to_jsonl spans)
 
+(* Wall-clock nanoseconds lie past 2^53, where a double rounds; the
+   export must print them digit for digit. *)
+let test_trace_jsonl_exact_ns () =
+  Trace.enable ();
+  ignore (Trace.drain ());
+  Trace.set_clock (Some (fun () -> 1_729_000_000_123_456_789L));
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.set_clock None;
+      ignore (Trace.drain ()))
+  @@ fun () ->
+  Trace.with_span "wall" (fun () -> ());
+  let line = Trace.to_jsonl (Trace.drain ()) in
+  check_bool "start_ns exact" true
+    (has_substring line "\"start_ns\":1729000000123456789,")
+
 (* ------------------------------------------------------------------ *)
 (* (e) Explain waterfall agrees with Types.stats at every level        *)
 (* ------------------------------------------------------------------ *)
@@ -495,25 +513,18 @@ let test_bench_json_roundtrip () =
           | _ -> Alcotest.fail "gc block must roundtrip")
       | l -> Alcotest.failf "expected 1 exhibit, got %d" (List.length l))
 
-(* A v1 snapshot (no alloc_per_doc, no gc) must still parse: the gc
-   fields decay to absent rather than failing the whole file. *)
-let test_bench_json_v1_compat () =
+(* Only builds that predate faerie-bench-v2 wrote v1; its read path is
+   gone, so a v1 file is refused by name rather than half-parsed. *)
+let test_bench_json_v1_refused () =
   let v1 =
     "{\"schema\":\"faerie-bench-v1\",\"git_rev\":\"abc1234\",\"scale\":1,\"ocaml\":\"5.1.1\",\"exhibits\":[\n\
      {\"name\":\"smoke\",\"wall_s\":0.5,\"tokens\":100,\"tokens_per_s\":200,\"candidates\":10,\"pruned\":4,\"verify_calls\":8,\"matches\":3,\"doc_wall_ns\":{\"p50\":1500,\"p90\":2000,\"p99\":null}}\n\
      ]}\n"
   in
   match Perf.bench_of_json v1 with
-  | Error e -> Alcotest.fail ("v1 snapshot must parse: " ^ e)
-  | Ok b -> (
-      check_string "v1 schema kept" "faerie-bench-v1" b.Perf.schema;
-      match b.Perf.exhibits with
-      | [ e ] ->
-          check_float "v1 wall_s" 0.5 e.Perf.wall_s;
-          check_float "v1 p50" 1500. e.Perf.p50_ns;
-          check_bool "v1 a50 is nan" true (Float.is_nan e.Perf.a50_w);
-          check_bool "v1 gc absent" true (e.Perf.gc = None)
-      | l -> Alcotest.failf "expected 1 exhibit, got %d" (List.length l))
+  | Ok _ -> Alcotest.fail "a v1 snapshot must be refused"
+  | Error e ->
+      check_bool "error names the v1 schema" true (has_substring e "faerie-bench-v1")
 
 let test_bench_json_rejects () =
   (match Perf.bench_of_json "not json at all" with
@@ -1123,7 +1134,7 @@ let test_slowlog_disabled_zero_captures () =
   let before = Slowlog.captures () in
   check_bool "no capture decision while disarmed" false
     (Slowlog.should_capture ~wall_ns:1e12);
-  Slowlog.capture ~wall_ns:1e12 "{\"never\":1}";
+  Slowlog.capture ~wall_ns:1e12 (Json.Obj [ ("never", Json.int 1) ]);
   (* A full extraction exercises every Prof.with_stage bracket; none may
      touch the armed path. *)
   let ex = Extractor.create ~sim:(Sim.Edit_distance 2) ~q:2 paper_dict in
@@ -1141,15 +1152,15 @@ let test_slowlog_ring () =
     (Slowlog.slow_ns () = Float.infinity);
   check_bool "empty ring accepts anything" true
     (Slowlog.should_capture ~wall_ns:1.);
-  Slowlog.capture ~wall_ns:5e6 "five";
-  Slowlog.capture ~wall_ns:1e6 "one";
-  Slowlog.capture ~wall_ns:9e6 "nine";
+  Slowlog.capture ~wall_ns:5e6 (Json.Str "five");
+  Slowlog.capture ~wall_ns:1e6 (Json.Str "one");
+  Slowlog.capture ~wall_ns:9e6 (Json.Str "nine");
   (* capacity 2: "one" (the least slow) was evicted. *)
   check_int "total counts evicted records too" 3 (Slowlog.total ());
   (match Slowlog.drain () with
   | [ (w1, l1); (w2, l2) ] ->
-      check_string "slowest first" "nine" l1;
-      check_string "runner-up second" "five" l2;
+      check_bool "slowest first" true (l1 = Json.Str "nine");
+      check_bool "runner-up second" true (l2 = Json.Str "five");
       check_bool "wall times ordered" true (w1 > w2)
   | l ->
       Alcotest.fail
@@ -1174,13 +1185,13 @@ let test_slowlog_write_through_and_flush () =
   @@ fun () ->
   Slowlog.configure ~capacity:4 ~slow_ms:10. ~path ();
   check_bool "threshold in ns" true (Slowlog.slow_ns () = 10. *. 1e6);
-  Slowlog.capture ~wall_ns:50e6 "over";
-  Slowlog.capture ~wall_ns:1e6 "under";
-  check_string "over-threshold records write through immediately" "over\n"
+  Slowlog.capture ~wall_ns:50e6 (Json.Str "over");
+  Slowlog.capture ~wall_ns:1e6 (Json.Str "under");
+  check_string "over-threshold records write through immediately" "\"over\"\n"
     (read_all path);
   Slowlog.disarm ();
-  check_string "disarm flushes the below-threshold ring tail" "over\nunder\n"
-    (read_all path)
+  check_string "disarm flushes the below-threshold ring tail"
+    "\"over\"\n\"under\"\n" (read_all path)
 
 let test_slowlog_stage_scratch () =
   Fun.protect
@@ -1482,7 +1493,7 @@ let test_slo_assess_burn () =
   (* to_json schema lock. *)
   check_string "assessment json schema"
     "{\"window_s\":30,\"docs\":0,\"latency\":{\"q\":0.5,\"target_ms\":1,\"measured_ms\":null,\"bad_frac\":null,\"burn\":null},\"avail\":{\"target\":0.99,\"measured\":null,\"burn\":null},\"burning\":false}"
-    (Slo.to_json a2)
+    (Json.to_string (Slo.to_json a2))
 
 let test_build_info () =
   let r = Build_info.rev () in
@@ -1541,8 +1552,8 @@ let () =
             test_bench_json_roundtrip;
           Alcotest.test_case "bench json rejects bad input" `Quick
             test_bench_json_rejects;
-          Alcotest.test_case "v1 snapshots still parse" `Quick
-            test_bench_json_v1_compat;
+          Alcotest.test_case "v1 snapshots are refused" `Quick
+            test_bench_json_v1_refused;
           Alcotest.test_case "regression comparison" `Quick
             test_compare_benches;
           Alcotest.test_case "allocation gate" `Quick test_compare_alloc_gate;
@@ -1581,6 +1592,8 @@ let () =
           Alcotest.test_case "prometheus label escaping" `Quick
             test_prometheus_label_escaping;
           Alcotest.test_case "trace jsonl" `Quick test_trace_jsonl_schema;
+          Alcotest.test_case "trace jsonl exact nanoseconds" `Quick
+            test_trace_jsonl_exact_ns;
         ] );
       ( "merge",
         [

@@ -89,7 +89,7 @@ let test_sim_spec_roundtrip () =
       Sim.Dice 0.625;
       Sim.Edit_distance 2;
       Sim.Edit_similarity 0.85;
-      (* An awkward float that %.12g must preserve exactly. *)
+      (* An awkward float that the spec text must preserve exactly. *)
       Sim.Jaccard 0.7000000000001;
     ]
 

@@ -304,7 +304,27 @@ let test_json_print () =
     (Json.to_string (Json.List [ Json.Num 3.; Json.Num (-3.); Json.Num 3e5 ]));
   Alcotest.(check string)
     "non-finite numbers become null" {|[null,null]|}
-    (Json.to_string (Json.List [ Json.Num Float.nan; Json.Num Float.infinity ]))
+    (Json.to_string (Json.List [ Json.Num Float.nan; Json.Num Float.infinity ]));
+  (* The number rule: digits for integral values below 2^53, else the
+     first of %.15g/%.16g/%.17g that reads back as the same double. *)
+  List.iter
+    (fun (f, want) ->
+      Alcotest.(check string) want want (Json.to_string (Json.Num f)))
+    [
+      (0.1, "0.1");
+      (0.99, "0.99");
+      (1. /. 3., "0.3333333333333333");
+      (0.1 +. 0.2, "0.30000000000000004");
+      (2e15, "2000000000000000");
+      (-0., "-0");
+    ];
+  Alcotest.(check string)
+    "exact integers print digit for digit" {|[1729000000123456789,-9223372036854775808]|}
+    (Json.to_string
+       (Json.List [ Json.Int 1_729_000_000_123_456_789L; Json.Int Int64.min_int ]));
+  check_bool "an integer a double cannot hold parses exact" true
+    (Json.of_string "1729000000123456789"
+    = Ok (Json.Int 1_729_000_000_123_456_789L))
 
 let test_json_parse () =
   check_bool "round-trip"
@@ -358,6 +378,20 @@ let prop_json_roundtrip =
                 return Json.Null;
                 map (fun b -> Json.Bool b) bool;
                 map (fun i -> Json.Num (float_of_int i)) small_signed_int;
+                (* arbitrary finite floats *)
+                map (fun f -> Json.Num (if Float.is_finite f then f else 0.)) float;
+                (* integral values from 1e15 up, past 2^53 *)
+                map (fun i -> Json.Num (1e15 +. float_of_int i)) nat;
+                map
+                  (fun (m, k) -> Json.Num (float_of_int m *. (10. ** float_of_int k)))
+                  (pair (int_range 1 999_999) (int_range 15 25));
+                (* subnormals *)
+                map
+                  (fun i -> Json.Num (Float.ldexp (float_of_int i) (-1074)))
+                  (int_range 1 ((1 lsl 52) - 1));
+                return (Json.Num (-0.));
+                (* odd integers past 2^53, which no double holds *)
+                map (fun k -> Json.Int (Int64.add 0x20000000000001L (Int64.of_int (2 * k)))) nat;
                 map (fun s -> Json.Str s) small_string;
               ]
           in
