@@ -413,7 +413,9 @@ let table5 () =
 
 let ablations () =
   H.section ~exhibit:"ablations"
-    ~title:"design-choice ablations (merge engine, window search, lazy bound)";
+    ~title:
+      "design-choice ablations (merge engine, window search, lazy bound, \
+       fallback search)";
   let dblp = Lazy.force W.dblp in
   let docs = W.doc_texts dblp 50 in
   let q = W.q_for_ed_dblp 2 in
@@ -553,6 +555,68 @@ let ablations () =
            [ label; H.fmt_count r.candidates; H.fmt_time r.seconds;
              string_of_int r.matches ])
          [ ("exact min", `Exact); ("paper form", `Paper) ])
+    ();
+
+  H.subsection "fallback path: Myers search pass vs exhaustive verification";
+  (* The dblp dictionary with k names cut short, as perfbench pins its
+     fallback entities: a 10-character name at tau=2, q=4 has 7 grams and
+     Tl <= 0, so exactly those k take the fallback path. A 3-character
+     name at tau=2 hits at every end whose last character occurs in it,
+     so there the search pass prunes far less. *)
+  let long = W.indexed_subset ~sim ~q (W.entities dblp) in
+  let with_short ~k ~chars =
+    let cuts, rest =
+      List.partition
+        (fun e -> String.length (String.trim (String.sub e 0 chars)) = chars)
+        long
+    in
+    let short =
+      List.filteri (fun i _ -> i < k) cuts |> List.map (fun e -> String.sub e 0 chars)
+    in
+    short @ List.filteri (fun i _ -> i >= k) cuts @ rest
+  in
+  let fdocs = W.doc_texts dblp 20 in
+  let verify_scores () =
+    Faerie_obs.Metrics.counter_value (Faerie_obs.Metrics.snapshot ())
+      "verify_scores"
+  in
+  let per_doc x = x /. float_of_int (Array.length fdocs) in
+  let time_fallback extract problem docs =
+    let scores0 = verify_scores () in
+    let matches = ref 0 in
+    let seconds =
+      H.timed (fun () ->
+          Array.iter
+            (fun doc -> matches := !matches + List.length (extract problem doc))
+            docs)
+    in
+    (seconds, verify_scores () - scores0, !matches)
+  in
+  H.table ~csv:"ablation_fallback" ~x_label:"short names"
+    ~columns:
+      [ "fallback"; "exhaustive ms/doc"; "exhaustive calls/doc";
+        "search ms/doc"; "search calls/doc"; "matches" ]
+    ~rows:
+      (List.map
+         (fun (k, chars) ->
+           let problem = Problem.create ~sim ~q (with_short ~k ~chars) in
+           let docs = Array.map (Problem.tokenize_document problem) fdocs in
+           let ex_s, ex_calls, ex_matches =
+             time_fallback (fun p d -> Fallback.exhaustive p d) problem docs
+           in
+           let s_s, s_calls, s_matches =
+             time_fallback (fun p d -> Fallback.run p d) problem docs
+           in
+           if s_matches <> ex_matches then
+             failwith "ablation_fallback: search and exhaustive disagree";
+           [ Printf.sprintf "%d x %d chars" k chars;
+             string_of_int (List.length (Problem.fallback_entities problem));
+             Printf.sprintf "%.3f" (per_doc (ex_s *. 1e3));
+             H.fmt_float (per_doc (float_of_int ex_calls));
+             Printf.sprintf "%.3f" (per_doc (s_s *. 1e3));
+             H.fmt_float (per_doc (float_of_int s_calls));
+             string_of_int s_matches ])
+         [ (3, 10); (30, 10); (300, 10); (30, 3) ])
     ()
 
 (* ------------------------------------------------------------------ *)

@@ -65,11 +65,13 @@ let random_instance rng =
   let char_based = Xorshift.bool rng in
   if char_based then begin
     let sim =
-      match Xorshift.int rng 5 with
+      match Xorshift.int rng 7 with
       | 0 -> Sim.Edit_distance 0
       | 1 -> Sim.Edit_distance 1
       | 2 -> Sim.Edit_distance 2
-      | 3 -> Sim.Edit_similarity 0.7
+      | 3 -> Sim.Edit_distance 3
+      | 4 -> Sim.Edit_similarity 0.5
+      | 5 -> Sim.Edit_similarity 0.7
       | _ -> Sim.Edit_similarity 0.9
     in
     {

@@ -13,7 +13,8 @@
     the axis on which Faerie wins.
 
     Entities on the fallback path (vacuous filter) are handled by the same
-    exhaustive scan Faerie uses, so results always equal Faerie's. *)
+    {!Faerie_core.Fallback.run} Faerie uses, so results always equal
+    Faerie's. *)
 
 type t
 

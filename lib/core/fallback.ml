@@ -15,10 +15,10 @@ let char_length_bounds sim ~e_chars =
 
 let m_fallback_verify =
   Faerie_obs.Metrics.counter
-    ~help:"scored substrings on the exhaustive fallback path"
+    ~help:"admissible (start, len) pairs the fallback path decided"
     "fallback_verify_calls"
 
-let run ?verifier problem doc =
+let extract ~search ?verifier problem doc =
   match Problem.fallback_entities problem with
   | [] -> []
   | fallback ->
@@ -28,27 +28,49 @@ let run ?verifier problem doc =
       let n = String.length text in
       let dict = Problem.dictionary problem in
       let acc = ref [] in
-      let scored = ref 0 in
+      let decided = ref 0 in
       Fun.protect ~finally:(fun () ->
-          Faerie_obs.Metrics.add m_fallback_verify !scored)
+          Faerie_obs.Metrics.add m_fallback_verify !decided)
       @@ fun () ->
       List.iter
         (fun id ->
-          let e = Ix.Dictionary.entity dict id in
-          let e_str = e.Ix.Entity.text in
-          let lo, hi = char_length_bounds sim ~e_chars:(String.length e_str) in
-          for len = lo to min hi n do
-            for start = 0 to n - len do
-              scored := !scored + 1;
-              let score =
-                S.Verify.char_score_slice ?verifier sim ~e_str ~text ~off:start
-                  ~len
-              in
-              if S.Verify.Score.passes sim score then
-                acc :=
-                  { c_entity = id; c_start = start; c_len = len; c_score = score }
-                  :: !acc
-            done
+          let e_str = (Ix.Dictionary.entity dict id).Ix.Entity.text in
+          let m = String.length e_str in
+          let lo, hi = char_length_bounds sim ~e_chars:m in
+          let top = min hi n in
+          let check ~start ~len =
+            let score =
+              S.Verify.char_score_slice ?verifier sim ~e_str ~text ~off:start
+                ~len
+            in
+            if S.Verify.Score.passes sim score then
+              acc :=
+                { c_entity = id; c_start = start; c_len = len; c_score = score }
+                :: !acc
+          in
+          if search && m >= 1 && m <= S.Edit_distance.myers_max_len then begin
+            (* The verifier's cap grows with max(|e|, len), so [cap] is the
+               largest it uses at any admissible length. A pair that passes
+               is within [cap], so its end is a search hit. *)
+            let cap = S.Verify.char_cap sim ~maxlen:(max m hi) in
+            if lo <= top then
+              S.Edit_distance.iter_search_ends ~cap e_str ~text ~f:(fun j ->
+                  for len = lo to min top j do
+                    check ~start:(j - len) ~len
+                  done)
+          end
+          else
+            for len = lo to top do
+              for start = 0 to n - len do
+                check ~start ~len
+              done
+            done;
+          for len = lo to top do
+            decided := !decided + (n - len + 1)
           done)
         fallback;
       List.sort_uniq compare_char_match !acc
+
+let run ?verifier problem doc = extract ~search:true ?verifier problem doc
+
+let exhaustive ?verifier problem doc = extract ~search:false ?verifier problem doc

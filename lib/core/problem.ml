@@ -19,6 +19,7 @@ type t = {
   dict : Ix.Dictionary.t;
   index : Ix.Inverted_index.t;
   infos : entity_info array;
+  fallback : int list;
   global_lower : int;
   global_upper : int;
 }
@@ -85,7 +86,11 @@ let assemble ~sim ~q ~lazy_bound dict index =
         | Fallback | Impossible -> (lo, hi))
       (max_int, 0) infos
   in
-  { sim; q; dict; index; infos; global_lower; global_upper }
+  let fallback = ref [] in
+  for id = Array.length infos - 1 downto 0 do
+    if infos.(id).path = Fallback then fallback := id :: !fallback
+  done;
+  { sim; q; dict; index; infos; fallback = !fallback; global_lower; global_upper }
 
 let create ~sim ?(q = 2) ?mode ?(lazy_bound = `Exact) raw_entities =
   S.Sim.validate sim;
@@ -128,12 +133,7 @@ let global_lower t = t.global_lower
 
 let global_upper t = t.global_upper
 
-let fallback_entities t =
-  let acc = ref [] in
-  Array.iteri
-    (fun id i -> if i.path = Fallback then acc := id :: !acc)
-    t.infos;
-  List.rev !acc
+let fallback_entities t = t.fallback
 
 let overlap_t t ~e_len ~s_len = S.Thresholds.overlap t.sim ~q:t.q ~e_len ~s_len
 

@@ -5,8 +5,8 @@ type path =
   | Indexed  (** normal filter path through the inverted index *)
   | Fallback
       (** the gram filter is vacuous for this entity ([Tl <= 0], or the
-          entity is shorter than [q]); handled by exhaustive verification
-          over the valid substring range (see {!Fallback}) *)
+          entity is shorter than [q]); handled by direct verification over
+          the valid substring range (see {!Fallback}) *)
   | Impossible  (** no substring can ever match (empty length range) *)
 
 type entity_info = {
@@ -73,7 +73,8 @@ val global_upper : t -> int
 (** [⌈E]: max Lemma 2 upper bound over indexed entities ([0] if none). *)
 
 val fallback_entities : t -> int list
-(** Ids on the {!Fallback} path. *)
+(** Ids on the {!Fallback} path, ascending; computed once when the problem
+    is built. *)
 
 val overlap_t : t -> e_len:int -> s_len:int -> int
 (** The overlap threshold [T] (Lemma 1) for this problem's function. *)

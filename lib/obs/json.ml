@@ -30,7 +30,8 @@ let add_escaped buf s =
   Buffer.add_char buf '"'
 
 let float_text f =
-  if Float.is_integer f && Float.abs f < 0x1p53 then Printf.sprintf "%.0f" f
+  if Float.is_integer f && Float.abs f < 0x1p53 then
+    if f = 0. && Float.sign_bit f then "-0" else Int.to_string (Float.to_int f)
   else
     let rec shortest digits =
       let s = Printf.sprintf "%.*g" digits f in

@@ -29,18 +29,25 @@ let infinity_cost = max_int / 2
 let myers_max_len = 62
 
 (* Per-domain scratch, so neither engine allocates on the verify hot path:
-   two DP rows for the banded fallback and a 256-entry pattern-bitmap table
-   for Myers. The peq table is cleared after each call by walking the
+   two DP rows for the banded fallback, a 256-entry pattern-bitmap table
+   for Myers, and a fixed buffer for the end positions a search pass
+   collects. The peq table is cleared after each call by walking the
    pattern's characters again (<= 62 writes), never the whole table. *)
 type scratch = {
   mutable prev : int array;
   mutable curr : int array;
   peq : int array;
+  ends : int array;
 }
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      { prev = Array.make 64 0; curr = Array.make 64 0; peq = Array.make 256 0 })
+      {
+        prev = Array.make 64 0;
+        curr = Array.make 64 0;
+        peq = Array.make 256 0;
+        ends = Array.make 256 0;
+      })
 
 let rows sc m =
   if Array.length sc.prev < m + 1 then begin
@@ -99,6 +106,18 @@ let banded_core ~cap sc r r_off m s s_off n =
    with Exit -> result := None);
   !result
 
+(* Pattern bitmaps: bit i of peq.(c) is set iff p[p_off + i] = c. *)
+let set_peq peq p p_off m =
+  for i = 0 to m - 1 do
+    let c = Char.code (String.unsafe_get p (p_off + i)) in
+    peq.(c) <- peq.(c) lor (1 lsl i)
+  done
+
+let clear_peq peq p p_off m =
+  for i = 0 to m - 1 do
+    peq.(Char.code (String.unsafe_get p (p_off + i))) <- 0
+  done
+
 (* Myers bit-vector edit distance (Hyyrö's formulation): the pattern
    p[p_off..p_off+m) is encoded as per-character position bitmaps and each
    text character updates the whole DP column in O(1) word operations.
@@ -107,10 +126,7 @@ let banded_core ~cap sc r r_off m s s_off n =
    bit for m <= 62. *)
 let myers_core ~cap sc p p_off m t t_off n =
   let peq = sc.peq in
-  for i = 0 to m - 1 do
-    let c = Char.code (String.unsafe_get p (p_off + i)) in
-    peq.(c) <- peq.(c) lor (1 lsl i)
-  done;
+  set_peq peq p p_off m;
   let mask = (1 lsl m) - 1 in
   let high = 1 lsl (m - 1) in
   let vp = ref mask and vn = ref 0 in
@@ -133,10 +149,58 @@ let myers_core ~cap sc p p_off m t t_off n =
        it cannot get back under the cap the column loop is done. *)
     if !score - (n - !j) > cap then cut := true
   done;
-  for i = 0 to m - 1 do
-    peq.(Char.code (String.unsafe_get p (p_off + i))) <- 0
-  done;
+  clear_peq peq p p_off m;
   if !cut then None else if !score <= cap then Some !score else None
+
+(* Hands [f] the first [k] collected ends. The scan's bits are cleared
+   first: the per-length checks a caller makes in [f] run [myers_core],
+   which sets and clears the same [peq] table. *)
+let deliver_ends peq p m ends k f =
+  clear_peq peq p 0 m;
+  for i = 0 to k - 1 do
+    f ends.(i)
+  done
+
+(* The free-start search form of [myers_core] (Myers 1999): the same
+   column update with the DP's top row held at 0, so any text position may
+   start a match and no 1 is shifted in at row 0. After reading t[j],
+   [score] is min over i of ed(p, t[i..j+1)). Ends within [cap] go to the
+   fixed [sc.ends] buffer, which is delivered whenever it fills and at the
+   end, so memory does not grow with the text. *)
+let iter_search_ends ~cap p ~text ~f =
+  let m = String.length p in
+  if m < 1 || m > myers_max_len then
+    invalid_arg "Edit_distance.iter_search_ends: pattern length";
+  let sc = Domain.DLS.get scratch_key in
+  let peq = sc.peq and ends = sc.ends in
+  set_peq peq p 0 m;
+  let mask = (1 lsl m) - 1 in
+  let high = 1 lsl (m - 1) in
+  let vp = ref mask and vn = ref 0 in
+  let score = ref m in
+  let k = ref 0 in
+  for j = 0 to String.length text - 1 do
+    let eq = peq.(Char.code (String.unsafe_get text j)) in
+    let d0 = (((eq land !vp) + !vp) lxor !vp) lor eq lor !vn in
+    let hp = !vn lor lnot (d0 lor !vp) in
+    let hn = !vp land d0 in
+    if hp land high <> 0 then incr score
+    else if hn land high <> 0 then decr score;
+    let hp = (hp lsl 1) land mask in
+    let hn = (hn lsl 1) land mask in
+    vp := (hn lor lnot (d0 lor hp)) land mask;
+    vn := hp land d0;
+    if !score <= cap then begin
+      ends.(!k) <- j + 1;
+      incr k;
+      if !k = Array.length ends then begin
+        deliver_ends peq p m ends !k f;
+        k := 0;
+        set_peq peq p 0 m
+      end
+    end
+  done;
+  deliver_ends peq p m ends !k f
 
 (* A while loop, not a local [rec]: a recursive closure over the slices
    would be heap-allocated on every cap-0 verification. *)

@@ -41,6 +41,20 @@ val distance_upto_slice :
     [banded:true] forces the banded DP; [banded:false] uses the automatic
     engine choice. *)
 
+val iter_search_ends :
+  cap:int -> string -> text:string -> f:(int -> unit) -> unit
+(** [iter_search_ends ~cap p ~text ~f] calls [f j], in increasing [j], for
+    every end [j] in [\[1, |text|\]] such that some substring of [text]
+    ending at [j] is within edit distance [cap] of [p]: the min over [i]
+    of [distance p (String.sub text i (j - i))] is [<= cap]. One
+    bit-parallel pass over [text] (Myers' search form: a match may start
+    anywhere). The ends are collected in a fixed per-domain buffer and
+    handed to [f] a buffer at a time, after the pass has cleared its bit
+    table, so [f] may use this module's other engines, but not
+    [iter_search_ends] itself.
+
+    @raise Invalid_argument unless [1 <= |p| <= myers_max_len]. *)
+
 val similarity : string -> string -> float
 (** [1 - distance r s / max(len r, len s)]; by convention [1.0] when both
     strings are empty. *)

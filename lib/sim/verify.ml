@@ -83,6 +83,15 @@ let route verifier ~e_len ~s_len =
   Metrics.incr (if banded then m_banded else m_myers);
   banded
 
+(* eds >= d iff ed <= (1 - d) * maxlen. *)
+let char_cap sim ~maxlen =
+  match sim with
+  | Sim.Edit_distance tau -> tau
+  | Sim.Edit_similarity d ->
+      int_of_float (Float.floor (((1. -. d) *. float_of_int maxlen) +. 1e-9))
+  | Sim.Jaccard _ | Sim.Cosine _ | Sim.Dice _ ->
+      invalid_arg "Verify.char_cap: token-based function"
+
 let char_score_slice ?(verifier = Auto) sim ~e_str ~text ~off ~len =
   Faerie_util.Fault.site "verify";
   Metrics.incr m_scores;
@@ -94,14 +103,11 @@ let char_score_slice ?(verifier = Auto) sim ~e_str ~text ~off ~len =
       | None ->
           Metrics.incr m_early_exits;
           Score.Distance (tau + 1))
-  | Sim.Edit_similarity d ->
+  | Sim.Edit_similarity _ ->
       let maxlen = max (String.length e_str) len in
       if maxlen = 0 then Score.Similarity 1.0
       else begin
-        (* eds >= d iff ed <= (1 - d) * maxlen; cap the computation there. *)
-        let cap =
-          int_of_float (Float.floor (((1. -. d) *. float_of_int maxlen) +. 1e-9))
-        in
+        let cap = char_cap sim ~maxlen in
         let banded = route verifier ~e_len:(String.length e_str) ~s_len:len in
         match Edit_distance.distance_upto_slice ~cap ~banded e_str ~s:text ~off ~len with
         | Some ed ->

@@ -38,6 +38,14 @@ val token_score : Sim.t -> e_tokens:int array -> s_tokens:int array -> Score.t
 
     @raise Invalid_argument when applied to a character-based function. *)
 
+val char_cap : Sim.t -> maxlen:int -> int
+(** The largest edit distance that can still pass when the longer string
+    has [maxlen] characters: [tau] for edit distance, [⌊(1 - delta) *
+    maxlen⌋] (with a [1e-9] slack) for edit similarity. {!char_score}
+    caps its computation here.
+
+    @raise Invalid_argument when applied to a token-based function. *)
+
 val char_score :
   ?verifier:verifier -> Sim.t -> e_str:string -> s_str:string -> Score.t
 (** Exact character-based score, computed with a thresholded edit-distance

@@ -494,6 +494,84 @@ let test_fallback_char_bounds () =
     "eds bounds" (9, 11)
     (Fallback.char_length_bounds (Sim.Edit_similarity 0.85) ~e_chars:10)
 
+let verifiers = S.Verify.[ Auto; Myers; Banded ]
+
+let search_equals_exhaustive problem doc =
+  List.for_all
+    (fun verifier ->
+      Fallback.run ~verifier problem doc
+      = Fallback.exhaustive ~verifier problem doc)
+    verifiers
+
+(* Short entities at loose thresholds put most of them on the fallback
+   path, where the search pass must find exactly what checking every
+   admissible substring finds. *)
+let arb_fallback_instance =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 4) (gen_char_string 1 12) >>= fun entities ->
+      gen_char_string 0 60 >>= fun doc ->
+      int_range 2 4 >>= fun q ->
+      oneof
+        [
+          map (fun tau -> Sim.Edit_distance tau) (int_range 0 4);
+          map (fun d -> Sim.Edit_similarity d) (oneofl [ 0.5; 0.7; 0.85; 1.0 ]);
+        ]
+      >>= fun sim -> return (entities, doc, sim, q))
+  in
+  QCheck.make
+    ~print:(fun (es, doc, sim, q) ->
+      Printf.sprintf "sim=%s q=%d entities=[%s] doc=%S" (Sim.to_string sim) q
+        (String.concat "; " es) doc)
+    gen
+
+let prop_fallback_search_equals_exhaustive =
+  QCheck.Test.make ~count:300 ~name:"Fallback.run == Fallback.exhaustive"
+    arb_fallback_instance
+    (fun (entities, doc_text, sim, q) ->
+      let problem = Problem.create ~sim ~q entities in
+      search_equals_exhaustive problem (Problem.tokenize_document problem doc_text))
+
+let test_fallback_long_entity () =
+  (* Past one machine word the search pass does not apply and every
+     admissible substring is verified. *)
+  let e = String.init 64 (fun i -> "abcab".[i mod 5]) in
+  let problem = Problem.create ~sim:(Sim.Edit_distance 16) ~q:4 [ e ] in
+  check_bool "on fallback path" true
+    ((Problem.info problem 0).Problem.path = Problem.Fallback);
+  let edited = String.sub e 0 30 ^ "cc" ^ String.sub e 33 31 in
+  let doc = Problem.tokenize_document problem ("cc" ^ edited ^ "bb") in
+  check_bool "found" true (Fallback.run problem doc <> []);
+  check_bool "run == exhaustive" true (search_equals_exhaustive problem doc)
+
+let test_fallback_counts_pairs () =
+  (* fallback_verify_calls counts the admissible (start, len) pairs, the
+     loop-bounds sum an external replay recomputes, not the pairs the
+     search pass lets through to the verifier. *)
+  let sim = Sim.Edit_distance 2 in
+  let problem = Problem.create ~sim ~q:4 [ "abcdefghij" ] in
+  check_bool "on fallback path" true
+    ((Problem.info problem 0).Problem.path = Problem.Fallback);
+  let doc =
+    Problem.tokenize_document problem
+      "zzzzzzzzzzzz abcdefghxj zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz"
+  in
+  let n = String.length (Tk.Document.text doc) in
+  let lo, hi = Fallback.char_length_bounds sim ~e_chars:10 in
+  let pairs = ref 0 in
+  for len = lo to min hi n do
+    pairs := !pairs + (n - len + 1)
+  done;
+  let value name =
+    Faerie_obs.Metrics.counter_value (Faerie_obs.Metrics.snapshot ()) name
+  in
+  let calls0 = value "fallback_verify_calls" and scores0 = value "verify_scores" in
+  let ms = Fallback.run problem doc in
+  check_bool "found" true (ms <> []);
+  check_int "pairs counted" !pairs (value "fallback_verify_calls" - calls0);
+  check_bool "fewer scorings than pairs" true
+    (value "verify_scores" - scores0 < !pairs)
+
 (* ------------------------------------------------------------------ *)
 (* Extractor end-to-end                                                *)
 (* ------------------------------------------------------------------ *)
@@ -666,6 +744,9 @@ let () =
           Alcotest.test_case "vacuous threshold" `Quick test_fallback_vacuous_threshold;
           Alcotest.test_case "empty for indexed" `Quick test_fallback_empty_for_indexed_only;
           Alcotest.test_case "char bounds" `Quick test_fallback_char_bounds;
+          Alcotest.test_case "long entity" `Quick test_fallback_long_entity;
+          Alcotest.test_case "counts admissible pairs" `Quick test_fallback_counts_pairs;
+          q prop_fallback_search_equals_exhaustive;
         ] );
       ( "extractor",
         [

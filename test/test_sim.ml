@@ -186,6 +186,67 @@ let prop_myers_matches_banded =
     (QCheck.triple arb_small_string arb_small_string (QCheck.int_bound 6))
     upto_checks
 
+(* The search form: its hits are exactly the ends j where some substring
+   t[i..j) lies within the cap. Texts embed an edited copy of the pattern
+   so that long patterns hit too. *)
+let gen_search_case =
+  QCheck.Gen.(
+    let* k = int_range 2 4 in
+    let letter = map (fun i -> Char.chr (Char.code 'a' + i)) (int_bound (k - 1)) in
+    let str len = string_size ~gen:letter (return len) in
+    let* m = oneof [ int_range 1 8; int_range 1 Ed.myers_max_len ] in
+    let* p = str m in
+    let* copy =
+      (* one insertion, deletion or substitution at i *)
+      let edit s =
+        let n = String.length s in
+        let* i = int_bound n in
+        let* c = map (String.make 1) letter in
+        let pre = String.sub s 0 i and post k = String.sub s (i + k) (n - i - k) in
+        oneofl
+          ((pre ^ c ^ post 0) :: (if i < n then [ pre ^ post 1; pre ^ c ^ post 1 ] else []))
+      in
+      let* edits = int_bound 3 in
+      let rec go s e = if e = 0 then return s else edit s >>= fun s -> go s (e - 1) in
+      oneof [ go p edits; (int_bound 12 >>= str) ]
+    in
+    let* pre = int_bound 12 >>= str in
+    let* post = int_bound 12 >>= str in
+    let* cap = int_bound 4 in
+    return (p, pre ^ copy ^ post, cap))
+
+let prop_search_ends_reference =
+  QCheck.Test.make ~count:300 ~name:"Myers search ends == min over starts of full DP"
+    (QCheck.make
+       ~print:(fun (p, t, cap) -> Printf.sprintf "p=%S t=%S cap=%d" p t cap)
+       gen_search_case)
+    (fun (p, t, cap) ->
+      let m = String.length p in
+      let got = ref [] in
+      Ed.iter_search_ends ~cap p ~text:t ~f:(fun j -> got := j :: !got);
+      (* A substring whose length differs from |p| by more than [cap] is
+         farther than [cap], so only starts near j - |p| can hit. *)
+      let hit j =
+        List.exists
+          (fun i ->
+            abs (j - i - m) <= cap && Ed.distance p (String.sub t i (j - i)) <= cap)
+          (List.init (j + 1) Fun.id)
+      in
+      List.rev !got = List.filter hit (List.init (String.length t) (fun j -> j + 1)))
+
+let test_search_ends_batches () =
+  (* More hits than the per-domain buffer holds, with the Myers verifier
+     run on the shared bit table between them: every end still arrives,
+     in order. *)
+  let text = String.concat "" (List.init 1000 (fun _ -> "abx")) in
+  let got = ref [] in
+  Ed.iter_search_ends ~cap:0 "ab" ~text ~f:(fun j ->
+      check_bool "verifier between hits" true
+        (Ed.distance_upto ~cap:1 "ab" (String.sub text (j - 2) 2) = Some 0);
+      got := j :: !got);
+  Alcotest.(check (list int))
+    "every end" (List.init 1000 (fun i -> (3 * i) + 2)) (List.rev !got)
+
 let prop_myers_tau_zero =
   QCheck.Test.make ~count:500 ~name:"Myers at tau=0 is string equality"
     (QCheck.pair arb_small_string arb_small_string)
@@ -497,6 +558,8 @@ let () =
           q prop_distance_upto_agrees;
           q prop_myers_matches_banded;
           q prop_myers_tau_zero;
+          q prop_search_ends_reference;
+          Alcotest.test_case "search ends past one buffer" `Quick test_search_ends_batches;
           q prop_myers_boundary_lengths;
         ] );
       ( "thresholds",

@@ -317,6 +317,10 @@ let test_json_print () =
       (0.1 +. 0.2, "0.30000000000000004");
       (2e15, "2000000000000000");
       (-0., "-0");
+      (0., "0");
+      (-7., "-7");
+      (0x1p53 -. 1., "9007199254740991");
+      (-.(0x1p53 -. 1.), "-9007199254740991");
     ];
   Alcotest.(check string)
     "exact integers print digit for digit" {|[1729000000123456789,-9223372036854775808]|}
